@@ -16,16 +16,36 @@ CMOS inverter chains/rings:
 This is enough physics to make oscillation period scale with supply
 voltage the way Table 5.1 does, which is all the downstream system
 consumes.
+
+The integration loop runs over plain Python floats, one stage at a
+time: Python's ``**`` and numpy's float64 scalar power both call libm
+``pow``, so results match a numpy formulation bit for bit, whereas
+vectorising over stages (SIMD ``pow``) drifts by an ulp.  Nodes that
+cannot move are skipped without evaluating the drive current, and the
+skip is exact, not an approximation:
+
+* a node already on the rail its input drives it toward has a rolloff
+  of exactly 0, so its update adds a signed zero and leaves it as is;
+* a node whose driving device has no overdrive (``<= 0``) gets a
+  current of exactly 0;
+
+and clipping to ``[0, Vdd]`` cannot change a voltage that was already
+clipped on the previous step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 __all__ = ["InverterParams", "TransientResult", "simulate_inverter_ring"]
+
+#: Width (V) of the linear rolloff band below the destination rail
+#: (crude triode region), so integration settles cleanly at the rails.
+_LINEAR_BAND = 0.05
 
 
 @dataclass(frozen=True)
@@ -62,32 +82,6 @@ class TransientResult:
         return self.waveforms[node]
 
 
-def _drive_current(
-    v_in: float, v_out: float, vdd: float, p: InverterParams
-) -> float:
-    """Net current charging the output node of one inverter.
-
-    NMOS pulls down when the input is high, PMOS pulls up when the
-    input is low; overdrive follows the alpha-power law with a linear
-    rolloff within 50 mV of the destination rail (crude triode region)
-    so integration terminates cleanly at the rails.
-    """
-    linear_band = 0.05
-    if v_in >= vdd / 2.0:
-        overdrive = v_in - p.vth
-        if overdrive <= 0.0:
-            return 0.0
-        i_sat = p.k_drive * overdrive**p.alpha
-        rolloff = min(1.0, max(0.0, v_out / linear_band))
-        return -i_sat * rolloff
-    overdrive = (vdd - v_in) - p.vth
-    if overdrive <= 0.0:
-        return 0.0
-    i_sat = p.k_drive * overdrive**p.alpha
-    rolloff = min(1.0, max(0.0, (vdd - v_out) / linear_band))
-    return i_sat * rolloff
-
-
 def simulate_inverter_ring(
     n_stages: int,
     vdd: float,
@@ -108,30 +102,64 @@ def simulate_inverter_ring(
         raise ValueError(f"vdd {vdd} V at or below threshold {p.vth} V")
 
     n_steps = int(t_stop / dt)
-    v = np.zeros(n_stages)
     # Seed an asymmetric initial state so oscillation starts immediately.
-    for i in range(n_stages):
-        v[i] = vdd if i % 2 else 0.0
+    v = [vdd if i % 2 else 0.0 for i in range(n_stages)]
     v[0] = vdd * 0.25
 
-    waveforms = np.empty((n_stages, n_steps))
-    times = np.arange(n_steps) * dt
+    vth, alpha, k_drive, cap = p.vth, p.alpha, p.k_drive, p.cap
+    flat = array("d")
     crossings: List[float] = []
     half = vdd / 2.0
     prev_v0 = v[0]
 
     for step in range(n_steps):
-        dv = np.empty(n_stages)
-        for i in range(n_stages):
-            v_in = v[(i - 1) % n_stages]
-            dv[i] = _drive_current(v_in, v[i], vdd, p) / p.cap
-        v = np.clip(v + dv * dt, 0.0, vdd)
-        waveforms[:, step] = v
-        if prev_v0 < half <= v[0]:
+        nxt = []
+        append = nxt.append
+        v_in = v[-1]
+        for v_out in v:
+            # NMOS pulls down when the input is high, PMOS pulls up when
+            # it is low, with an alpha-power overdrive and a linear
+            # rolloff within _LINEAR_BAND of the destination rail.  A
+            # node on that rail, or without overdrive, keeps v_out.
+            if v_in >= half:
+                if v_out == 0.0:
+                    append(v_out)
+                else:
+                    overdrive = v_in - vth
+                    if overdrive <= 0.0:
+                        append(v_out)
+                    else:
+                        rolloff = v_out / _LINEAR_BAND
+                        if rolloff > 1.0:
+                            rolloff = 1.0
+                        current = -(k_drive * overdrive**alpha) * rolloff
+                        nv = v_out + current / cap * dt
+                        append(nv if nv > 0.0 else 0.0)
+            elif v_out == vdd:
+                append(v_out)
+            else:
+                overdrive = (vdd - v_in) - vth
+                if overdrive <= 0.0:
+                    append(v_out)
+                else:
+                    rolloff = (vdd - v_out) / _LINEAR_BAND
+                    if rolloff > 1.0:
+                        rolloff = 1.0
+                    current = k_drive * overdrive**alpha * rolloff
+                    nv = v_out + current / cap * dt
+                    append(nv if nv < vdd else vdd)
+            v_in = v_out
+        v = nxt
+        flat.extend(v)
+        v0 = v[0]
+        if prev_v0 < half <= v0:
             # linear interpolation of the rising-edge crossing instant
-            frac = (half - prev_v0) / (v[0] - prev_v0)
+            frac = (half - prev_v0) / (v0 - prev_v0)
             crossings.append((step - 1 + frac) * dt)
-        prev_v0 = v[0]
+        prev_v0 = v0
+
+    times = np.arange(n_steps) * dt
+    waveforms = np.frombuffer(flat, dtype=np.float64).reshape(-1, n_stages).T
 
     period: Optional[float] = None
     if len(crossings) >= 4:
