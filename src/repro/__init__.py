@@ -24,34 +24,36 @@ Public API highlights
 #: online results.
 __version__ = "1.0.0"
 
-from .core import (
-    OnlineKnobs,
-    PlatformConfig,
-    SynTSProblem,
-    SynTSSolution,
-    ThreadParams,
-    run_online_interval,
-    solve_no_ts,
-    solve_nominal,
-    solve_per_core_ts,
-    solve_synts_milp,
-    solve_synts_poly,
-)
-from .core import (
-    SCHEME_REGISTRY,
-    Scheme,
-    register_offline_scheme,
-    register_scheme,
-)
-from .workloads import (
-    HETEROGENEOUS_BENCHMARKS,
-    SPLASH2_PROFILES,
-    WORKLOAD_REGISTRY,
-    build_benchmark,
-    register_synthetic,
-    register_workload,
-    reported_benchmarks,
-)
+from ._lazy import lazy_exports
+
+_EXPORTS = {
+    "core": (
+        "OnlineKnobs",
+        "PlatformConfig",
+        "SynTSProblem",
+        "SynTSSolution",
+        "ThreadParams",
+        "run_online_interval",
+        "solve_no_ts",
+        "solve_nominal",
+        "solve_per_core_ts",
+        "solve_synts_milp",
+        "solve_synts_poly",
+        "SCHEME_REGISTRY",
+        "Scheme",
+        "register_offline_scheme",
+        "register_scheme",
+    ),
+    "workloads": (
+        "HETEROGENEOUS_BENCHMARKS",
+        "SPLASH2_PROFILES",
+        "WORKLOAD_REGISTRY",
+        "build_benchmark",
+        "register_synthetic",
+        "register_workload",
+        "reported_benchmarks",
+    ),
+}
 
 __all__ = [
     "Scheme",
@@ -78,3 +80,5 @@ __all__ = [
     "HETEROGENEOUS_BENCHMARKS",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -60,7 +60,7 @@ def _print_result(result) -> None:
         print(result.render())
 
 
-def _build_parser(experiments, ablations) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     from repro.engine.backends import backend_names
     from repro.engine.store import store_names
 
@@ -315,17 +315,20 @@ def _normalize_argv(argv, experiments) -> list:
 
 
 def _print_registries(
-    experiments, ablations, schemes: bool = True, workloads: bool = True
+    experiments: bool = True, schemes: bool = True, workloads: bool = True
 ) -> None:
     from repro.core.schemes import SCHEME_REGISTRY
     from repro.workloads.registry import WORKLOAD_REGISTRY
 
-    if experiments is not None:
+    if experiments:
+        from repro.experiments import EXPERIMENTS
+        from repro.experiments.ablations import ABLATIONS
+
         print("experiments:")
-        for name in experiments:
+        for name in EXPERIMENTS:
             print(f"  {name}")
         print("ablations:")
-        for name in ablations:
+        for name in ABLATIONS:
             print(f"  {name}")
     if schemes:
         print("schemes:")
@@ -351,18 +354,11 @@ def _print_registries(
 
 
 def main(argv=None) -> int:
-    from repro.engine import (
-        ExperimentEngine,
-        JsonLinesPrinter,
-        ProgressPrinter,
-        engine_session,
-    )
     from repro.experiments import EXPERIMENTS
-    from repro.experiments.ablations import ABLATIONS
 
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(EXPERIMENTS, ABLATIONS)
+    parser = _build_parser()
     args = parser.parse_args(_normalize_argv(argv, EXPERIMENTS))
 
     if args.command != "worker":
@@ -386,8 +382,7 @@ def main(argv=None) -> int:
                 "combined with a command"
             )
         _print_registries(
-            EXPERIMENTS if args.list else None,
-            ABLATIONS if args.list else None,
+            experiments=args.list,
             schemes=args.list or args.list_schemes,
             workloads=args.list or args.list_benchmarks,
         )
@@ -395,12 +390,19 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.error("a command is required (try 'list')")
     if args.command == "list":
-        _print_registries(EXPERIMENTS, ABLATIONS)
+        _print_registries()
         return 0
     if args.command == "worker":
         return _serve_worker(args)
     if args.command == "cache":
         return _cache_command(args)
+
+    from repro.engine import (
+        ExperimentEngine,
+        JsonLinesPrinter,
+        ProgressPrinter,
+        engine_session,
+    )
 
     jobs = getattr(args, "jobs", None)
     cache_dir = getattr(args, "cache_dir", None)
@@ -429,7 +431,7 @@ def main(argv=None) -> int:
         engine.subscribe(JsonLinesPrinter(sys.stderr))
     with engine_session(engine=engine):
         try:
-            code = _dispatch(args, EXPERIMENTS, ABLATIONS)
+            code = _dispatch(args, EXPERIMENTS)
         except RuntimeError as exc:
             # e.g. a process-pool worker failing a registry lookup:
             # an actionable one-liner beats a pickled traceback
@@ -532,7 +534,7 @@ def _cache_command(args) -> int:
     return 2  # pragma: no cover
 
 
-def _dispatch(args, experiments, ablations) -> int:
+def _dispatch(args, experiments) -> int:
     if args.command == "run":
         if args.experiment == "all":
             for name, fn in experiments.items():
@@ -548,6 +550,8 @@ def _dispatch(args, experiments, ablations) -> int:
         _print_result(experiments[args.experiment]())
         return 0
     if args.command == "ablation":
+        from repro.experiments.ablations import ABLATIONS as ablations
+
         if args.name == "all":
             for fn in ablations.values():
                 _print_result(fn())

@@ -1,17 +1,22 @@
 """Architectural substrate: Razor pipelines, instruction traces, a
 barrier-synchronised multi-core simulator, and the instruction-level
-online controller (the repo's gem5 stand-in; see DESIGN.md Sec. 2)."""
+online controller (the repo's gem5 stand-in; see
+``docs/architecture.md``)."""
 
-from .multicore import BarrierIntervalStats, MultiCoreSim
-from .online_sim import SimulatedOnlineOutcome, simulate_online_interval
-from .pipeline import CoreResult, SteppedPipeline, execute_trace
-from .razor import RazorStage, RazorStats
-from .trace import (
-    MEMORY_LATENCY,
-    InstructionTrace,
-    sample_delays_from_error_function,
-    trace_for_thread,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "multicore": ("BarrierIntervalStats", "MultiCoreSim"),
+    "online_sim": ("SimulatedOnlineOutcome", "simulate_online_interval"),
+    "pipeline": ("CoreResult", "SteppedPipeline", "execute_trace"),
+    "razor": ("RazorStage", "RazorStats"),
+    "trace": (
+        "MEMORY_LATENCY",
+        "InstructionTrace",
+        "sample_delays_from_error_function",
+        "trace_for_thread",
+    ),
+}
 
 __all__ = [
     "RazorStage",
@@ -28,3 +33,5 @@ __all__ = [
     "SimulatedOnlineOutcome",
     "simulate_online_interval",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

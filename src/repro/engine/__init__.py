@@ -30,46 +30,50 @@ Guarantees:
   not an engine change.
 """
 
-from .backends import (
-    ExecutorBackend,
-    ProcessBackend,
-    RemoteBackend,
-    SerialBackend,
-    ShardedBackend,
-    ThreadBackend,
-    backend_names,
-    make_backend,
-    register_backend,
-)
-from .bootstrap import run_bootstrap
-from .cache import CacheStats, ResultCache
-from .cells import (
-    BenchmarkTotals,
-    CellBatch,
-    CellResult,
-    CellSpec,
-    benchmark_specs,
-    cached_interval_problems,
-    cell_seed,
-    compute_batch,
-    compute_cell,
-    group_cells,
-    totalize,
-)
-from .events import EngineEvent, EventLog, JsonLinesPrinter, ProgressPrinter
-from .executor import ExperimentEngine
-from .serialize import canonical_json, content_key, sanitize
-from .session import engine_session, get_engine, set_engine
-from .store import (
-    JsonDirStore,
-    MemoryStore,
-    ResultStore,
-    StoreStats,
-    TieredStore,
-    make_store,
-    register_store,
-    store_names,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "backends": (
+        "ExecutorBackend",
+        "ProcessBackend",
+        "RemoteBackend",
+        "SerialBackend",
+        "ShardedBackend",
+        "ThreadBackend",
+        "backend_names",
+        "make_backend",
+        "register_backend",
+    ),
+    "bootstrap": ("run_bootstrap",),
+    "cache": ("CacheStats", "ResultCache"),
+    "cells": (
+        "BenchmarkTotals",
+        "CellBatch",
+        "CellResult",
+        "CellSpec",
+        "benchmark_specs",
+        "cached_interval_problems",
+        "cell_seed",
+        "compute_batch",
+        "compute_cell",
+        "group_cells",
+        "totalize",
+    ),
+    "events": ("EngineEvent", "EventLog", "JsonLinesPrinter", "ProgressPrinter"),
+    "executor": ("ExperimentEngine",),
+    "serialize": ("canonical_json", "content_key", "sanitize"),
+    "session": ("engine_session", "get_engine", "set_engine"),
+    "store": (
+        "JsonDirStore",
+        "MemoryStore",
+        "ResultStore",
+        "StoreStats",
+        "TieredStore",
+        "make_store",
+        "register_store",
+        "store_names",
+    ),
+}
 
 __all__ = [
     "BenchmarkTotals",
@@ -115,3 +119,5 @@ __all__ = [
     "store_names",
     "totalize",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+from repro._lazy import lazy_exports
 from repro.engine._registry import (
     register_factory,
     resolve_factory,
@@ -33,11 +34,16 @@ from repro.engine._registry import (
 )
 
 from .base import EmitFn, ExecutorBackend, null_emit
-from .process import ProcessBackend
-from .remote import RemoteBackend, parse_worker_addresses
-from .serial import SerialBackend
-from .sharded import ShardedBackend, shard_of
-from .thread import ThreadBackend
+
+# the strategies load on first use: a serial run never imports
+# multiprocessing, concurrent.futures or the remote protocol
+_EXPORTS = {
+    "process": ("ProcessBackend",),
+    "remote": ("RemoteBackend", "parse_worker_addresses"),
+    "serial": ("SerialBackend",),
+    "sharded": ("ShardedBackend", "shard_of"),
+    "thread": ("ThreadBackend",),
+}
 
 __all__ = [
     "EmitFn",
@@ -62,23 +68,29 @@ BackendFactory = Callable[..., ExecutorBackend]
 
 
 def _make_serial(workers: int, shards: Optional[int]) -> ExecutorBackend:
+    from .serial import SerialBackend
+
     return SerialBackend()
 
 
 def _make_thread(workers: int, shards: Optional[int]) -> ExecutorBackend:
+    from .thread import ThreadBackend
+
     # the worker count is honoured exactly: --jobs 1 --backend thread
     # really is a one-worker pool (constrained machines rely on it)
     return ThreadBackend(workers=workers)
 
 
 def _make_process(workers: int, shards: Optional[int]) -> ExecutorBackend:
+    from .process import ProcessBackend
+
     return ProcessBackend(workers=workers)
 
 
 def _make_sharded(workers: int, shards: Optional[int]) -> ExecutorBackend:
-    inner: ExecutorBackend = (
-        ProcessBackend(workers=workers) if workers > 1 else SerialBackend()
-    )
+    from .sharded import ShardedBackend
+
+    inner = (_make_process if workers > 1 else _make_serial)(workers, shards)
     return ShardedBackend(inner=inner, n_shards=shards or max(2, workers))
 
 
@@ -96,6 +108,8 @@ def _make_remote(
             "'python -m repro worker --serve HOST:PORT')"
         )
     import os
+
+    from .remote import RemoteBackend
 
     if worker_token is None:
         worker_token = os.environ.get("REPRO_WORKER_TOKEN") or None
@@ -158,3 +172,6 @@ def make_backend(
         "backend", name, factory, options, hints=_OPTION_HINTS
     )
     return factory(max(1, int(workers)), shards, **options)
+
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,4 +1,5 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the design choices ``docs/architecture.md``
+describes.
 
 Not published artifacts -- these probe *why* SynTS wins and where the
 knobs sit:

@@ -3,7 +3,7 @@
 Every table/figure of the paper's evaluation has a driver module with
 a ``run(...) -> ExperimentResult``.  The result carries the same rows
 or series the paper reports plus paper-vs-measured notes, and renders
-to plain text (tables + ASCII plots).  ``benchmarks/bench_*.py``
+to plain text (tables + ASCII plots).  ``benchmarks/test_bench_*.py``
 regenerates each one under pytest-benchmark.
 """
 

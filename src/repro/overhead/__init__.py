@@ -1,16 +1,20 @@
 """SynTS hardware overhead study (paper Section 6.3)."""
 
-from .estimate import STAGE_CORE_FRACTION, OverheadReport, estimate_overhead
-from .hardware import (
-    ACTIVITY_FACTOR,
-    CLOCK_GATING_FACTOR,
-    MIN_TSR,
-    SequentialCosts,
-    StageInventory,
-    SynTSAdditions,
-    stage_inventory,
-    synts_additions_for,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "estimate": ("STAGE_CORE_FRACTION", "OverheadReport", "estimate_overhead"),
+    "hardware": (
+        "ACTIVITY_FACTOR",
+        "CLOCK_GATING_FACTOR",
+        "MIN_TSR",
+        "SequentialCosts",
+        "StageInventory",
+        "SynTSAdditions",
+        "stage_inventory",
+        "synts_additions_for",
+    ),
+}
 
 __all__ = [
     "SequentialCosts",
@@ -25,3 +29,5 @@ __all__ = [
     "OverheadReport",
     "estimate_overhead",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -131,9 +131,12 @@ def _invalidate_problem_memo() -> None:
     The memo is keyed by benchmark *name*; re-registering a name with
     different parameters must not serve stale problems.
     """
-    cells = sys.modules.get("repro.engine.cells")
-    if cells is not None:  # pragma: no branch
-        cells._interval_problems.cache_clear()
+    # the module may still be executing its own imports (it imports
+    # this registry, whose built-in registrations land here), and a
+    # memo that does not exist yet holds nothing stale
+    memo = getattr(sys.modules.get("repro.engine.cells"), "_interval_problems", None)
+    if memo is not None:
+        memo.cache_clear()
 
 
 class WorkloadRegistry:

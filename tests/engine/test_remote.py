@@ -613,9 +613,8 @@ class TestWorkerCLI:
         believes is token-protected must actually get the token."""
         from repro.__main__ import _build_parser, _normalize_argv
         from repro.experiments import EXPERIMENTS
-        from repro.experiments.ablations import ABLATIONS
 
-        parser = _build_parser(EXPERIMENTS, ABLATIONS)
+        parser = _build_parser()
         args = parser.parse_args(
             _normalize_argv(
                 [
