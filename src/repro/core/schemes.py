@@ -19,33 +19,27 @@ scheme meant editing the engine.  A :class:`Scheme` entry instead
 
 The default :data:`SCHEME_REGISTRY` is seeded with the paper's four
 offline schemes and the online controller -- ``online`` is just
-another entry, not a code path.  New comparison schemes are a
-:func:`register_scheme` call away; for the process backend, register
-at import time of a module the workers also import (runtime
-registrations reach forked workers only when made before the pool
-starts, never reach spawned ones, and the thread/serial backends see
-them always).
+another entry, not a code path.  The seeds name their solvers by
+import path (:class:`SolverRef`): a memo-served run needs only the
+registry's digests for its keys, so it never imports the solvers.
+New comparison schemes are a :func:`register_scheme` call away; for
+the process backend, register at import time of a module the workers
+also import (runtime registrations reach forked workers only when
+made before the pool starts, never reach spawned ones, and the
+thread/serial backends see them always).
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .baselines import (
-    solve_no_ts,
-    solve_no_ts_batch,
-    solve_nominal,
-    solve_per_core_ts,
-    solve_per_core_ts_batch,
-)
-from .online import OnlineKnobs, run_online_interval
-from .poly import solve_synts_poly, solve_synts_poly_batch
-
 __all__ = [
     "Scheme",
     "SchemeRegistry",
+    "SolverRef",
     "SCHEME_REGISTRY",
     "register_scheme",
     "register_offline_scheme",
@@ -55,13 +49,49 @@ __all__ = [
 ]
 
 
-def _online_knobs(spec) -> OnlineKnobs:
+def _online_knobs(spec):
     """Online-controller knobs carried by a cell spec."""
+    from .online import OnlineKnobs
+
     if getattr(spec, "n_samp", None) is not None:
         return OnlineKnobs(n_samp=spec.n_samp)
     if getattr(spec, "sampling_fraction", None) is not None:
         return OnlineKnobs(sampling_fraction=spec.sampling_fraction)
     return OnlineKnobs()
+
+
+class SolverRef:
+    """A solver named by its import path, imported on first use.
+
+    The seed entries name their solvers this way, so loading the
+    registry (which every experiment memo key consults) does not load
+    the solver modules and numpy behind them.  Calling the reference,
+    or reading any attribute of the solver through it, imports the
+    module and looks the function up there, so a rebinding of the
+    module attribute is seen.  :meth:`Scheme.digest` identifies it by
+    ``path``: exactly the ``module.qualname`` string of the function.
+    """
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def resolve(self) -> Callable:
+        """Import the module and return the function ``path`` names."""
+        module, _, name = self.path.rpartition(".")
+        return getattr(importlib.import_module(module), name)
+
+    def __call__(self, *args, **kwargs):
+        return self.resolve()(*args, **kwargs)
+
+    def __getattr__(self, name: str):
+        if name == "path":  # not yet set (e.g. mid-unpickling)
+            raise AttributeError(name)
+        return getattr(self.resolve(), name)
+
+    def __repr__(self) -> str:
+        return f"SolverRef({self.path!r})"
 
 
 @dataclass(frozen=True)
@@ -74,7 +104,8 @@ class Scheme:
         Registry key; the value cells carry in ``CellSpec.scheme``.
     solver:
         Interval solver (see the module docstring for the two
-        accepted signatures, selected by ``needs_rng``).
+        accepted signatures, selected by ``needs_rng``), or a
+        :class:`SolverRef` naming one.
     uses_theta:
         Whether the Eq. 4.4 weight changes the scheme's decisions.
     needs_rng:
@@ -108,10 +139,13 @@ class Scheme:
         editing a solver's body in place, is invisible -- the
         package-version salt in every key covers released changes.
         """
-        solver_id = (
-            f"{getattr(self.solver, '__module__', '?')}."
-            f"{getattr(self.solver, '__qualname__', repr(self.solver))}"
-        )
+        if isinstance(self.solver, SolverRef):
+            solver_id = self.solver.path
+        else:
+            solver_id = (
+                f"{getattr(self.solver, '__module__', '?')}."
+                f"{getattr(self.solver, '__qualname__', repr(self.solver))}"
+            )
         return (self.name, solver_id, self.uses_theta, self.needs_rng)
 
     @cached_property
@@ -285,32 +319,32 @@ def scheme_fingerprint() -> Tuple[Tuple[str, str, bool, bool], ...]:
 # ----------------------------------------------------------------------
 register_offline_scheme(
     "synts",
-    solve_synts_poly,
-    batch_solver=solve_synts_poly_batch,
+    SolverRef("repro.core.poly.solve_synts_poly"),
+    batch_solver=SolverRef("repro.core.poly.solve_synts_poly_batch"),
     description="SynTS-Poly: joint (V, r) optimisation of Eq. 4.4",
 )
 register_offline_scheme(
     "no_ts",
-    solve_no_ts,
-    batch_solver=solve_no_ts_batch,
+    SolverRef("repro.core.baselines.solve_no_ts"),
+    batch_solver=SolverRef("repro.core.baselines.solve_no_ts_batch"),
     description="joint DVFS with speculation disabled (r = 1)",
 )
 register_offline_scheme(
     "nominal",
-    solve_nominal,
+    SolverRef("repro.core.baselines.solve_nominal"),
     uses_theta=False,
     description="every core at (V_max, r = 1); the normalisation baseline",
 )
 register_offline_scheme(
     "per_core_ts",
-    solve_per_core_ts,
-    batch_solver=solve_per_core_ts_batch,
+    SolverRef("repro.core.baselines.solve_per_core_ts"),
+    batch_solver=SolverRef("repro.core.baselines.solve_per_core_ts_batch"),
     description="each core minimises en_i + theta*t_i in isolation",
 )
 register_scheme(
     Scheme(
         name="online",
-        solver=run_online_interval,
+        solver=SolverRef("repro.core.online.run_online_interval"),
         needs_rng=True,
         description="online SynTS: sampling phase + optimised phase "
         "(Section 4.3)",

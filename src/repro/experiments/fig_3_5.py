@@ -8,8 +8,6 @@ critical thread at every speculation depth.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.report import Series
 from repro.workloads.splash2 import SPLASH2_PROFILES, thread_error_function
 
@@ -24,6 +22,8 @@ def run(
     stage: str = "simple_alu",
     n_points: int = 25,
 ) -> ExperimentResult:
+    import numpy as np
+
     profile = SPLASH2_PROFILES[benchmark]
     ratios = np.linspace(0.6, 1.0, n_points)
     series = []

@@ -7,8 +7,6 @@ and the measured periods are normalised to the 1.0 V corner.
 
 from __future__ import annotations
 
-from repro.circuit.ring_oscillator import sweep_ring_oscillator
-
 from .common import ExperimentResult, cached_experiment
 
 __all__ = ["run"]
@@ -16,6 +14,8 @@ __all__ = ["run"]
 
 @cached_experiment("table_5_1")
 def run(n_stages: int = 5) -> ExperimentResult:
+    from repro.circuit.ring_oscillator import sweep_ring_oscillator
+
     sweep = sweep_ring_oscillator(n_stages=n_stages)
     rows = [
         (vdd, published, round(regen, 3))

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from typing import Any
-
-import numpy as np
 
 __all__ = ["sanitize", "canonical_json", "content_key", "SCHEMA_VERSION"]
 
@@ -46,20 +45,24 @@ def sanitize(obj: Any) -> Any:
     """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     # note: np.float64 subclasses float and np.int_ may subclass int,
     # so coerce through the builtin constructors unconditionally
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
+    # no value is a numpy object before numpy is imported, so a
+    # payload of plain data never pays for loading it
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(
+        obj, (np.bool_, np.integer, np.floating, np.ndarray)
+    ):
+        # tolist() gives builtin scalars (a bare one for 0-d arrays)
+        return sanitize(obj.tolist())
     raise TypeError(
         f"cannot sanitise {type(obj).__name__!r} for the result cache"
     )

@@ -9,9 +9,10 @@ study.  These classes are that contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Mapping, Tuple
 
-from repro.errors.probability import ErrorFunction
+if TYPE_CHECKING:
+    from repro.errors.probability import ErrorFunction
 
 __all__ = ["ThreadWorkload", "BarrierInterval", "Benchmark"]
 

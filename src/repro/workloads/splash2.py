@@ -26,11 +26,12 @@ multipliers scale the activity factor ``scale_p``, reproducing the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
-
-from repro.errors.probability import BetaTailErrorFunction, ErrorFunction
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
 
 from .model import Benchmark
+
+if TYPE_CHECKING:
+    from repro.errors.probability import ErrorFunction
 
 __all__ = [
     "StageErrorShape",
@@ -242,6 +243,8 @@ def thread_error_function(
     ``shapes`` overrides the paper's :data:`STAGE_SHAPES` (registry
     entries with their own per-stage error tails pass theirs).
     """
+    from repro.errors.probability import BetaTailErrorFunction
+
     shape = (shapes if shapes is not None else STAGE_SHAPES)[stage]
     mult = profile.thread_multipliers[thread] * profile.error_scale
     damped = mult**shape.sensitivity

@@ -1,11 +1,15 @@
 """Scheme registry: seed entries, registration discipline, dispatch."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.schemes import (
     SCHEME_REGISTRY,
     Scheme,
     SchemeRegistry,
+    SolverRef,
     get_scheme,
     register_offline_scheme,
     scheme_names,
@@ -33,6 +37,47 @@ class TestSeedEntries:
     def test_offline_entries_do_not_need_rng(self):
         for name in ("synts", "no_ts", "nominal", "per_core_ts"):
             assert not get_scheme(name).needs_rng
+
+
+class TestSolverRefs:
+    """The seeds name their solvers by import path (lazy import)."""
+
+    @pytest.mark.parametrize(
+        "name", ["synts", "no_ts", "nominal", "per_core_ts", "online"]
+    )
+    def test_seed_refs_name_their_functions(self, name):
+        entry = get_scheme(name)
+        for ref in (entry.solver, entry.batch_solver):
+            if ref is None:
+                continue
+            assert isinstance(ref, SolverRef)
+            fn = ref.resolve()
+            assert f"{fn.__module__}.{fn.__qualname__}" == ref.path
+        # the digest is the same whether the entry holds the reference
+        # or the function it resolves to
+        resolved = dataclasses.replace(entry, solver=entry.solver.resolve())
+        assert resolved.digest() == entry.digest()
+
+    def test_call_looks_the_module_attribute_up(self, monkeypatch):
+        from repro.core import baselines
+
+        ref = SolverRef("repro.core.baselines.solve_nominal")
+        monkeypatch.setattr(
+            baselines, "solve_nominal", lambda p, t: ("seen", p, t)
+        )
+        assert ref("problem", 0.5) == ("seen", "problem", 0.5)
+
+    def test_attributes_read_through_to_the_function(self, monkeypatch):
+        from repro.core import poly
+
+        ref = SolverRef("repro.core.poly.solve_synts_poly")
+        monkeypatch.setattr(poly.solve_synts_poly, "marker", 1, raising=False)
+        assert ref.__name__ == "solve_synts_poly"
+        assert ref.marker == 1
+
+    def test_pickle_round_trip(self):
+        ref = SolverRef("repro.core.poly.solve_synts_poly")
+        assert pickle.loads(pickle.dumps(ref)).path == ref.path
 
 
 class TestRegistrationDiscipline:

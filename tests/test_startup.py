@@ -2,10 +2,15 @@
 
 Package ``__init__``s resolve their public names on first use (PEP 562,
 ``repro._lazy``), so ``python -m repro run <id>`` imports the driver,
-engine and model modules that id executes and nothing else.  These
-tests pin that import budget, check every lazy export map against its
-submodules, and import the modules that sit on import cycles first in
-a fresh interpreter, where a changed import order would surface.
+engine and model modules that id executes and nothing else.  A run the
+experiment memo answers executes no numerics, so it loads neither numpy
+nor the modules built on it: drivers import their substrate inside the
+functions that compute, and the scheme registry names its solvers by
+import path.  These tests pin that import budget for a listing and for
+a warm run of every experiment and ablation, check every lazy export
+map against its submodules, and import the modules that sit on import
+cycles first in a fresh interpreter, where a changed import order would
+surface.
 """
 
 import importlib
@@ -16,6 +21,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.experiments import EXPERIMENTS
+from repro.experiments.ablations import ABLATIONS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,22 +43,40 @@ LAZY_PACKAGES = (
     "repro.workloads",
 )
 
-#: Never loaded by a listing or a warm serial run (``pkg`` covers
-#: ``pkg.*``).
+#: Never loaded by a listing or a memo-served serial run (``pkg``
+#: covers ``pkg.*``).
 FORBIDDEN = (
+    "numpy",
+    "scipy",
     "multiprocessing",
     "concurrent.futures",
-    "scipy",
     "repro.engine.worker",
     "repro.engine.backends.process",
     "repro.engine.backends.thread",
     "repro.engine.backends.sharded",
     "repro.engine.backends.remote",
+    "repro.errors",
+    "repro.circuit",
     "repro.gpgpu",
     "repro.milp",
     "repro.arch",
     "repro.overhead",
 )
+
+#: The only ``repro.core`` module such a run needs: the scheme
+#: registry, whose digests salt every experiment memo key.
+CORE_ALLOWED = "repro.core.schemes"
+
+#: Experiment ids whose driver module is not named after the id.
+_DRIVER_OF = {
+    "sec_6_3": "overhead_study",
+    **{f"fig_6_1{i}": "pareto_figs" for i in range(1, 7)},
+}
+
+#: (argv, driver module) of every experiment and ablation.
+WARM_RUNS = [
+    (["run", exp_id], _DRIVER_OF.get(exp_id, exp_id)) for exp_id in EXPERIMENTS
+] + [(["ablation", name], "ablations") for name in ABLATIONS]
 
 #: Runs ``main(argv)`` and reports its exit code and ``sys.modules``.
 _MAIN_PROBE = """
@@ -88,7 +114,7 @@ def _over_budget(modules, driver, ablations: bool) -> list:
     for name in modules:
         if any(name == f or name.startswith(f + ".") for f in FORBIDDEN):
             bad.append(name)
-        elif name.startswith("repro.circuit.") and name != "repro.circuit.voltage":
+        elif name.startswith("repro.core.") and name != CORE_ALLOWED:
             bad.append(name)
         elif (
             name.startswith("repro.experiments.")
@@ -101,24 +127,21 @@ def _over_budget(modules, driver, ablations: bool) -> list:
 class TestImportBudget:
     @pytest.fixture(scope="class")
     def cache_dir(self, tmp_path_factory):
-        return str(tmp_path_factory.mktemp("startup-cache"))
+        """A cache dir filled by a cold ``run all`` + ``ablation all``."""
+        cache_dir = str(tmp_path_factory.mktemp("startup-cache"))
+        _loaded_by_main(["run", "all", "--cache-dir", cache_dir])
+        _loaded_by_main(["ablation", "all", "--cache-dir", cache_dir])
+        return cache_dir
 
     def test_list(self):
         modules = _loaded_by_main(["--list"])
         assert _over_budget(modules, None, ablations=True) == []
 
     @pytest.mark.parametrize(
-        "argv, driver",
-        [
-            (["run", "fig_6_18"], "fig_6_18"),
-            (["ablation", "heterogeneity"], "ablations"),
-        ],
-        ids=["run-fig_6_18", "ablation-heterogeneity"],
+        "argv, driver", WARM_RUNS, ids=["-".join(argv) for argv, _ in WARM_RUNS]
     )
     def test_warm_run(self, cache_dir, argv, driver):
-        argv = argv + ["--cache-dir", cache_dir]
-        _loaded_by_main(argv)  # cold: fills the cache
-        modules = _loaded_by_main(argv)
+        modules = _loaded_by_main(argv + ["--cache-dir", cache_dir])
         assert _over_budget(modules, driver, ablations=False) == []
 
 
