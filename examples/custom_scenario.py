@@ -1,11 +1,11 @@
-"""Scenario growth without code forks: registries + backends + events.
+"""Scenario growth without code forks: registries + engine + events.
 
 Registers a deterministic synthetic workload (8 threads, 3x
 heterogeneity spread, a hotter decode stage) and a custom comparison
 scheme (a "greedy uniform" solver that picks one shared operating
-point), then sweeps both through the engine on the sharded backend
-while watching the progress event stream -- no experiment-driver or
-engine changes anywhere.
+point), then sweeps both through the engine on the default serial
+backend while watching the progress event stream -- no
+experiment-driver or engine changes anywhere.
 
 Run with::
 
@@ -16,8 +16,6 @@ from repro.core.schemes import Scheme, register_scheme
 from repro.engine import (
     EventLog,
     ExperimentEngine,
-    ShardedBackend,
-    ThreadBackend,
     benchmark_specs,
     totalize,
 )
@@ -64,11 +62,9 @@ def main():
         )
     )
 
-    # threads (not processes) so the runtime registrations above are
-    # visible to the workers; shards give the event stream structure
-    engine = ExperimentEngine(
-        backend=ShardedBackend(inner=ThreadBackend(workers=4), n_shards=3)
-    )
+    # the serial backend runs in this process, so it sees the runtime
+    # registrations above (pool and remote workers need REPRO_BOOTSTRAP)
+    engine = ExperimentEngine()
     log = engine.subscribe(EventLog())
 
     print(f"{'scheme':<14}{'energy':>14}{'time':>12}{'EDP':>16}")
@@ -81,9 +77,9 @@ def main():
         )
     engine.close()
 
-    shards = len(log.of_kind("shard_started"))
     cells = len(log.of_kind("cell_computed"))
-    print(f"\nevents: {cells} cells computed across {shards} shard runs")
+    batches = len(log.of_kind("batch_started"))
+    print(f"\nevents: {cells} cells computed in {batches} engine batches")
 
 
 if __name__ == "__main__":

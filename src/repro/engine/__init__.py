@@ -4,12 +4,10 @@ The paper's evaluation regenerates ~14 tables/figures, each sweeping
 (benchmark x stage x scheme x interval) sub-problems.  This package
 decomposes those sweeps into pure, picklable *cells*
 (:mod:`~repro.engine.cells`), executes them on a pluggable executor
-backend -- serial, thread pool, process pool, content-keyed shards
-over any of them, or remote workers on other machines
-(:mod:`~repro.engine.backends`) -- and memoises every
-result under content-hash keys in a pluggable, tiered result store
-(:mod:`~repro.engine.store`, :mod:`~repro.engine.serialize`; the
-:class:`~repro.engine.cache.ResultCache` facade) -- in memory within
+backend -- serial, process pool, or remote workers on other machines
+(:mod:`~repro.engine.backends`) -- and memoises every result under
+content-hash keys (:mod:`repro.serialization`) in a pluggable, tiered
+result store (:mod:`~repro.engine.store`) -- in memory within
 a session, on disk across sessions (``--cache-dir`` / ``--store``),
 and on cache-keeping remote workers across clients (the delta
 protocol of :mod:`~repro.engine.backends.remote`).  Progress is
@@ -38,14 +36,11 @@ _EXPORTS = {
         "ProcessBackend",
         "RemoteBackend",
         "SerialBackend",
-        "ShardedBackend",
-        "ThreadBackend",
         "backend_names",
         "make_backend",
         "register_backend",
     ),
     "bootstrap": ("run_bootstrap",),
-    "cache": ("CacheStats", "ResultCache"),
     "cells": (
         "BenchmarkTotals",
         "CellBatch",
@@ -61,7 +56,6 @@ _EXPORTS = {
     ),
     "events": ("EngineEvent", "EventLog", "JsonLinesPrinter", "ProgressPrinter"),
     "executor": ("ExperimentEngine",),
-    "serialize": ("canonical_json", "content_key", "sanitize"),
     "session": ("engine_session", "get_engine", "set_engine"),
     "store": (
         "JsonDirStore",
@@ -77,7 +71,6 @@ _EXPORTS = {
 
 __all__ = [
     "BenchmarkTotals",
-    "CacheStats",
     "CellBatch",
     "CellResult",
     "CellSpec",
@@ -91,21 +84,16 @@ __all__ = [
     "ProcessBackend",
     "ProgressPrinter",
     "RemoteBackend",
-    "ResultCache",
     "ResultStore",
     "SerialBackend",
-    "ShardedBackend",
     "StoreStats",
-    "ThreadBackend",
     "TieredStore",
     "backend_names",
     "benchmark_specs",
     "cached_interval_problems",
-    "canonical_json",
     "cell_seed",
     "compute_batch",
     "compute_cell",
-    "content_key",
     "engine_session",
     "get_engine",
     "group_cells",
@@ -114,7 +102,6 @@ __all__ = [
     "register_backend",
     "register_store",
     "run_bootstrap",
-    "sanitize",
     "set_engine",
     "store_names",
     "totalize",

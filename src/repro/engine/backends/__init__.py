@@ -1,30 +1,26 @@
 """Pluggable executor backends for the experiment engine.
 
-Five strategies ship in-tree, all bit-identical to the serial
+Three strategies ship in-tree, all bit-identical to the serial
 reference (enforced by the parallel-equivalence property test):
 
 * ``serial``  -- in-order, in-process; the reference path.
-* ``thread``  -- thread pool (numpy kernels release the GIL); sees
-  runtime scheme/workload registrations.
-* ``process`` -- process pool; the historical ``--jobs N`` behaviour.
-  Workers run the registry bootstrap hook
-  (:mod:`repro.engine.bootstrap`) at start-up.
-* ``sharded`` -- content-keyed shards dispatched through an inner
-  backend; bounds in-flight work and gives progress a shard grain.
+* ``process`` -- process pool; the ``--jobs N`` behaviour.  Workers
+  run the registry bootstrap hook (:mod:`repro.engine.bootstrap`) at
+  start-up.
 * ``remote``  -- the multi-host distributor: ships content-keyed
   shards to ``python -m repro worker`` processes on other machines
   (``--workers host1:port,host2:port``), with per-shard failover.
 
 :func:`make_backend` builds one by name; :func:`register_backend`
 makes the set open for out-of-tree strategies.  Factories take
-``(workers, shards)``; a factory that needs more (like ``remote``'s
-worker addresses) declares keyword-only parameters and
-:func:`make_backend` forwards matching options.
+``(workers)``; a factory that needs more (like ``remote``'s worker
+addresses) declares keyword-only parameters and :func:`make_backend`
+forwards matching options.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro._lazy import lazy_exports
 from repro.engine._registry import (
@@ -41,8 +37,6 @@ _EXPORTS = {
     "process": ("ProcessBackend",),
     "remote": ("RemoteBackend", "parse_worker_addresses"),
     "serial": ("SerialBackend",),
-    "sharded": ("ShardedBackend", "shard_of"),
-    "thread": ("ThreadBackend",),
 }
 
 __all__ = [
@@ -51,52 +45,35 @@ __all__ = [
     "ProcessBackend",
     "RemoteBackend",
     "SerialBackend",
-    "ShardedBackend",
-    "ThreadBackend",
     "backend_names",
     "make_backend",
     "null_emit",
     "parse_worker_addresses",
     "register_backend",
-    "shard_of",
 ]
 
-#: Backend factory signature: ``(workers, shards) -> backend``, plus
+#: Backend factory signature: ``(workers) -> backend``, plus
 #: optional keyword-only parameters for named options (see
 #: :func:`make_backend`).
 BackendFactory = Callable[..., ExecutorBackend]
 
 
-def _make_serial(workers: int, shards: Optional[int]) -> ExecutorBackend:
+def _make_serial(workers: int) -> ExecutorBackend:
     from .serial import SerialBackend
 
     return SerialBackend()
 
 
-def _make_thread(workers: int, shards: Optional[int]) -> ExecutorBackend:
-    from .thread import ThreadBackend
-
-    # the worker count is honoured exactly: --jobs 1 --backend thread
-    # really is a one-worker pool (constrained machines rely on it)
-    return ThreadBackend(workers=workers)
-
-
-def _make_process(workers: int, shards: Optional[int]) -> ExecutorBackend:
+def _make_process(workers: int) -> ExecutorBackend:
     from .process import ProcessBackend
 
+    # the worker count is honoured exactly: --jobs 1 --backend process
+    # really is a one-worker pool (constrained machines rely on it)
     return ProcessBackend(workers=workers)
-
-
-def _make_sharded(workers: int, shards: Optional[int]) -> ExecutorBackend:
-    from .sharded import ShardedBackend
-
-    inner = (_make_process if workers > 1 else _make_serial)(workers, shards)
-    return ShardedBackend(inner=inner, n_shards=shards or max(2, workers))
 
 
 def _make_remote(
     workers: int,
-    shards: Optional[int],
     *,
     remote_workers=None,
     worker_token=None,
@@ -118,9 +95,7 @@ def _make_remote(
 
 _FACTORIES: Dict[str, BackendFactory] = {
     "serial": _make_serial,
-    "thread": _make_thread,
     "process": _make_process,
-    "sharded": _make_sharded,
     "remote": _make_remote,
 }
 
@@ -146,17 +121,10 @@ def backend_names() -> Tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
-def make_backend(
-    name: str,
-    workers: int = 1,
-    shards: Optional[int] = None,
-    **options,
-) -> ExecutorBackend:
+def make_backend(name: str, workers: int = 1, **options) -> ExecutorBackend:
     """Build a backend by registry name.
 
-    ``workers`` sizes the pool-based backends (and the sharded
-    backend's inner pool); ``shards`` sets the shard count of
-    ``sharded`` (default: ``max(2, workers)``).  Named ``options``
+    ``workers`` sizes the process pool.  Named ``options``
     (e.g. ``remote_workers`` for the remote backend's addresses) are
     forwarded to factories that declare a matching keyword-only
     parameter; passing an option the chosen backend does not accept
@@ -171,7 +139,7 @@ def make_backend(
     options = validate_factory_options(
         "backend", name, factory, options, hints=_OPTION_HINTS
     )
-    return factory(max(1, int(workers)), shards, **options)
+    return factory(max(1, int(workers)), **options)
 
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -29,21 +29,18 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.engine.cells import (
     CellBatch,
     CellResult,
-    CellSpec,
+    batch_is_vectorized,
     compute_batch,
-    compute_cell,
+    split_batch,
 )
 
 from .base import (
     EmitFn,
     ExecutorBackend,
     emit_batch_cells,
-    expand_for_pool,
     needed_registry_names,
     null_emit,
-    reassemble_units,
 )
-from .serial import SerialBackend, _cell_fields
 
 __all__ = ["ProcessBackend", "pool_chunksize"]
 
@@ -57,6 +54,60 @@ def pool_chunksize(n_tasks: int, workers: int) -> int:
     with four waves while cutting round-trips by the chunk factor.
     """
     return max(1, n_tasks // (4 * max(1, workers)))
+
+
+def _expand_for_pool(
+    batches: Sequence[CellBatch], workers: int = 1
+) -> tuple:
+    """Pool dispatch units for a batch list, plus reassembly origins.
+
+    Vectorized batches (scheme solves the whole group in one pass)
+    always ship intact.  Per-interval batches (e.g. RNG schemes,
+    which evaluate cell by cell anyway) are split into singleton
+    units -- but only when the batch count alone cannot keep the pool
+    busy (fewer than two waves of ``workers``): with plenty of
+    batches, splitting buys no parallelism and pays one IPC
+    round-trip per cell.  Returns ``(units, origins)`` where
+    ``origins[u] = (batch_index, cell_index|None)``; feed both to
+    :func:`_reassemble_units`.
+    """
+    split_for_grain = len(batches) < 2 * max(1, workers)
+    units: List[CellBatch] = []
+    origins: List[tuple] = []
+    for bi, batch in enumerate(batches):
+        if (
+            split_for_grain
+            and len(batch) > 1
+            and not batch_is_vectorized(batch)
+        ):
+            for ci, unit in enumerate(split_batch(batch)):
+                units.append(unit)
+                origins.append((bi, ci))
+        else:
+            units.append(batch)
+            origins.append((bi, None))
+    return units, origins
+
+
+def _reassemble_units(
+    batches: Sequence[CellBatch],
+    origins: Sequence[tuple],
+    unit_results: Sequence[List[CellResult]],
+) -> List[List[CellResult]]:
+    """Invert :func:`_expand_for_pool`.
+
+    Folds unit results back into lists aligned with the original
+    batches.
+    """
+    out: List[List[Optional[CellResult]]] = [
+        [None] * len(batch) for batch in batches
+    ]
+    for (bi, ci), cells in zip(origins, unit_results):
+        if ci is None:
+            out[bi] = list(cells)
+        else:
+            out[bi][ci] = cells[0]
+    return out  # type: ignore[return-value]
 
 
 def _pool_initializer() -> None:
@@ -86,12 +137,12 @@ def _missing_registry_message(
         "re-import the code (or forked before the registration) and do "
         f"not see schemes/workloads registered at runtime. "
         f"{BOOTSTRAP_REMEDY}; register from a module the workers "
-        "import, or use the thread or serial backend."
+        "import, or use the serial backend."
     )
 
 
 class ProcessBackend(ExecutorBackend):
-    """``concurrent.futures.ProcessPoolExecutor`` over ``compute_cell``."""
+    """``concurrent.futures.ProcessPoolExecutor`` over ``compute_batch``."""
 
     name = "process"
 
@@ -100,11 +151,6 @@ class ProcessBackend(ExecutorBackend):
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = int(workers)
         self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def is_parallel(self) -> bool:
-        """Concurrent whenever more than one worker is configured."""
-        return self.workers > 1
 
     def describe(self) -> str:
         """``process[N]`` where N is the worker count."""
@@ -150,25 +196,27 @@ class ProcessBackend(ExecutorBackend):
                 )
             )
 
-    def _pooled_map(self, items, fn, on_result, serial_rest, emit):
-        """Run ``pool.map(fn, items)`` with the shared failure protocol.
+    def _map_units(
+        self, units: Sequence[CellBatch], emit: EmitFn
+    ) -> List[List[CellResult]]:
+        """``pool.map(compute_batch, units)`` with the failure protocol.
 
-        ``on_result(item, value)`` fires per delivered item (progress
-        events); a worker-side registry ``KeyError`` becomes the
-        actionable RuntimeError; a broken/denied pool degrades loudly
-        to ``serial_rest(remaining_items)`` for whatever the pool had
-        not yet delivered (delivered values are valid and already
-        emitted).
+        Each delivered unit emits its ``cell_computed`` events; a
+        worker-side registry ``KeyError`` becomes the actionable
+        RuntimeError; a broken/denied pool degrades loudly to the
+        serial path for whatever the pool had not yet delivered
+        (delivered results are valid and already emitted).
         """
-        results = []
+        results: List[List[CellResult]] = []
         try:
             pool = self._ensure_pool()
-            chunk = pool_chunksize(len(items), self.workers)
-            for item, value in zip(
-                items, pool.map(fn, items, chunksize=chunk)
+            chunk = pool_chunksize(len(units), self.workers)
+            for unit, cells in zip(
+                units, pool.map(compute_batch, units, chunksize=chunk)
             ):
-                on_result(item, value)
-                results.append(value)
+                # shared pool clock: completion without a timing claim
+                emit_batch_cells(emit, unit, seconds=None)
+                results.append(list(cells))
             return results
         except KeyError as exc:
             # a worker failed a registry lookup the submitting process
@@ -178,9 +226,8 @@ class ProcessBackend(ExecutorBackend):
                 f"worker process failed a registry lookup: {exc}. "
                 "Process-pool workers re-import the code and do not "
                 "see schemes/workloads registered at runtime; set "
-                "REPRO_BOOTSTRAP=module:function, use the thread or "
-                "serial backend, or register from a module the workers "
-                "import."
+                "REPRO_BOOTSTRAP=module:function, use the serial "
+                "backend, or register from a module the workers import."
             ) from exc
         except (OSError, BrokenProcessPool) as exc:
             print(
@@ -197,26 +244,7 @@ class ProcessBackend(ExecutorBackend):
             self._pool = None
             if broken is not None:
                 broken.shutdown(wait=False, cancel_futures=True)
-            return results + serial_rest(items[len(results):])
-
-    def run(
-        self,
-        specs: Sequence[CellSpec],
-        emit: EmitFn = null_emit,
-        keys: Optional[Sequence[str]] = None,
-    ) -> List[CellResult]:
-        """Map cells over the pool (single cells stay in-process)."""
-        if len(specs) <= 1:
-            # a single pending cell is cheaper in-process than a pool
-            # round-trip (and keeps tiny warm reruns pool-free)
-            return SerialBackend().run(specs, emit)
-        return self._pooled_map(
-            list(specs),
-            compute_cell,
-            lambda spec, _: emit("cell_computed", **_cell_fields(spec)),
-            lambda rest: SerialBackend().run(rest, emit),
-            emit,
-        )
+            return results + super().run_batches(units[len(results):], emit)
 
     def run_batches(
         self,
@@ -227,19 +255,11 @@ class ProcessBackend(ExecutorBackend):
         # vectorized batches ship whole; per-interval batches split
         # (when the pool would otherwise starve) so their cells
         # spread across workers instead of serialising in one task
-        units, origins = expand_for_pool(batches, self.workers)
+        units, origins = _expand_for_pool(batches, self.workers)
         if len(units) <= 1:
             # one unit is cheaper in-process than a pool round-trip
             return super().run_batches(batches, emit)
         self._validate_registries(units)
-        unit_results = self._pooled_map(
-            units,
-            compute_batch,
-            # shared pool clock: completion without a timing claim
-            lambda unit, _: emit_batch_cells(emit, unit, seconds=None),
-            lambda rest: super(ProcessBackend, self).run_batches(rest, emit),
-            emit,
-        )
-        return reassemble_units(
-            batches, origins, [list(cells) for cells in unit_results]
+        return _reassemble_units(
+            batches, origins, self._map_units(units, emit)
         )

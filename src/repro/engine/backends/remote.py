@@ -1,8 +1,7 @@
 """Remote executor backend: ship content-keyed shards to other hosts.
 
-:class:`RemoteBackend` is the multi-host seam the sharded backend was
-built to feed: it partitions pending cell batches into content-keyed
-shards (the same :func:`~repro.engine.backends.sharded.shard_of_batch`
+:class:`RemoteBackend` is the multi-host seam: it partitions pending
+cell batches into content-keyed shards (:func:`shard_of_batch`, a
 partition every host agrees on), ships whole shards to long-lived
 worker processes (``python -m repro worker --serve HOST:PORT``) over a
 length-prefixed canonical-JSON protocol, and merges the results back
@@ -76,7 +75,6 @@ from .base import (
     needed_registry_names,
     null_emit,
 )
-from .sharded import shard_of_batch
 
 __all__ = [
     "FrameTooLargeError",
@@ -89,6 +87,7 @@ __all__ = [
     "parse_worker_addresses",
     "recv_frame",
     "send_frame",
+    "shard_of_batch",
 ]
 
 #: Bump when the frame layout or message vocabulary changes
@@ -237,6 +236,20 @@ def auth_mac(token: str, nonce: str) -> str:
     return hmac.new(
         token.encode("utf-8"), nonce.encode("utf-8"), hashlib.sha256
     ).hexdigest()
+
+
+def shard_of_batch(batch: CellBatch, n_shards: int) -> int:
+    """Deterministic shard index of a cell batch.
+
+    A batch travels as one unit (splitting it would forfeit the
+    shared problem construction and vectorized solve), so it is
+    keyed by its first cell's content key -- a pure function of cell
+    content, so every host agrees on the partition.
+    """
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be positive, got {n_shards}")
+    key = batch.keys[0] if batch.keys is not None else batch.specs[0].key()
+    return int(key[:8], 16) % n_shards
 
 
 def _with_keys(batch: CellBatch) -> CellBatch:
@@ -475,11 +488,6 @@ class RemoteBackend(ExecutorBackend):
         # one worker_lost per outage, not one per dispatch attempt
         self._reported_lost: set = set()
 
-    @property
-    def is_parallel(self) -> bool:
-        """Remote dispatch is concurrent whenever >1 worker is configured."""
-        return len(self.addresses) > 1
-
     def describe(self) -> str:
         """``remote[N]`` where N is the configured worker count."""
         return f"remote[{len(self.addresses)}]"
@@ -642,23 +650,6 @@ class RemoteBackend(ExecutorBackend):
             )
         return reply, events
 
-    def run(
-        self,
-        specs: Sequence[CellSpec],
-        emit: EmitFn = null_emit,
-        keys: Optional[Sequence[str]] = None,
-    ) -> List[CellResult]:
-        """Ship cells as singleton batches; flatten aligned results."""
-        if not specs:
-            return []
-        if keys is None:
-            keys = [spec.key() for spec in specs]
-        batches = [
-            CellBatch(specs=(spec,), keys=(key,))
-            for spec, key in zip(specs, keys)
-        ]
-        return [cells[0] for cells in self.run_batches(batches, emit)]
-
     def run_batches(
         self,
         batches: Sequence[CellBatch],
@@ -667,9 +658,9 @@ class RemoteBackend(ExecutorBackend):
         """Shard batches across workers; merge by original position.
 
         Shard membership is the content-keyed partition of
-        :func:`~repro.engine.backends.sharded.shard_of_batch` over the
-        *configured* worker count; shard -> worker placement is a
-        work-queue (surviving workers drain shards of lost ones).
+        :func:`shard_of_batch` over the *configured* worker count;
+        shard -> worker placement is a work-queue (surviving workers
+        drain shards of lost ones).
         Against workers advertising a result store, each shard ships
         as the two-phase delta protocol (see :meth:`_request_shard`);
         worker-store hits surface as ``cell_cached`` events tagged

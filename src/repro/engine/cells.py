@@ -26,9 +26,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.schemes import SCHEME_REGISTRY
+from repro.serialization import content_key
 from repro.workloads.registry import WORKLOAD_REGISTRY
-
-from .serialize import content_key
 
 if TYPE_CHECKING:
     from repro.core.problem import SynTSProblem

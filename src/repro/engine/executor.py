@@ -5,10 +5,9 @@ CLI and the benchmark harness go through:
 
 * ``run_cells(specs)`` -- evaluate experiment cells, deduplicated and
   cache-backed, on a pluggable :class:`ExecutorBackend` (serial,
-  thread pool, process pool, content-keyed shards over any of them,
-  or remote workers).  Every backend produces bit-identical
-  :class:`~repro.engine.cells.CellResult` lists because cells are pure
-  functions of their specs.
+  process pool or remote workers).  Every backend produces
+  bit-identical :class:`~repro.engine.cells.CellResult` lists because
+  cells are pure functions of their specs.
 * ``experiment(key_parts, thunk)`` -- whole-figure memoisation: the
   thunk's :class:`~repro.experiments.common.ExperimentResult` (or dict
   of them) is cached under a content key, in memory and -- when the
@@ -30,12 +29,12 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from repro.serialization import content_key
+
 from .backends import ExecutorBackend, make_backend
-from .cache import CacheStats, ResultCache
 from .cells import CellResult, CellSpec, group_cells
 from .events import EngineEvent, EventCallback
-from .serialize import content_key
-from .store import ResultStore, make_store
+from .store import ResultStore, StoreStats, default_store_name, make_store
 
 __all__ = ["ExperimentEngine"]
 
@@ -71,7 +70,7 @@ def _decode_value(payload: Dict[str, Any]) -> Any:
 
 
 class ExperimentEngine:
-    """Cell executor + result cache for one session.
+    """Cell executor + result store for one session.
 
     Parameters
     ----------
@@ -80,25 +79,20 @@ class ExperimentEngine:
         ``1`` select the serial path; larger values run a pool of
         exactly that size (oversubscribing a small machine is
         allowed -- results are identical either way).
-    cache:
-        A :class:`ResultCache`; defaults to a fresh in-memory cache.
     cache_dir:
-        Convenience: build the cache with this on-disk directory.
+        Directory of the persistent store tier.
     store:
         A :class:`~repro.engine.store.ResultStore` instance, or a
         registered store name (``memory`` / ``jsondir`` / ``tiered``,
         the CLI's ``--store``).  A name is built through
         :func:`~repro.engine.store.make_store` with ``cache_dir``
-        forwarded.  Mutually exclusive with ``cache``; when neither
-        is given the engine builds a :class:`ResultCache` (memory, or
-        memory+disk when ``cache_dir`` is set).
+        forwarded.  Default: the CLI's default, ``tiered``
+        (memory + disk) when ``cache_dir`` is set, else ``memory``.
     backend:
         An :class:`ExecutorBackend` instance, or a registered backend
-        name (``serial`` / ``thread`` / ``process`` / ``sharded`` /
-        ``remote``).  Default: ``remote`` when ``remote_workers`` is
-        given, ``process`` when ``jobs > 1``, else ``serial``.
-    shards:
-        Shard count for the ``sharded`` backend (ignored otherwise).
+        name (``serial`` / ``process`` / ``remote``).  Default:
+        ``remote`` when ``remote_workers`` is given, ``process`` when
+        ``jobs > 1``, else ``serial``.
     remote_workers:
         Remote worker addresses for the ``remote`` backend -- the
         CLI's ``host1:port,host2:port`` string or a sequence of
@@ -109,18 +103,12 @@ class ExperimentEngine:
     def __init__(
         self,
         jobs: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
         cache_dir: Optional[str] = None,
         backend: Union[ExecutorBackend, str, None] = None,
-        shards: Optional[int] = None,
         remote_workers: Optional[Union[str, Sequence[str]]] = None,
         store: Union[ResultStore, str, None] = None,
         worker_token: Optional[str] = None,
     ):
-        if cache is not None and cache_dir is not None:
-            raise ValueError("pass either cache or cache_dir, not both")
-        if cache is not None and store is not None:
-            raise ValueError("pass either cache or store, not both")
         if (
             store is not None
             and not isinstance(store, str)
@@ -145,26 +133,18 @@ class ExperimentEngine:
             self.backend = make_backend(
                 name,
                 workers=self.jobs,
-                shards=shards,
                 remote_workers=remote_workers,
                 worker_token=worker_token,
             )
-        if isinstance(store, str):
-            self.cache = make_store(store, cache_dir=cache_dir)
-        elif store is not None:
-            self.cache = store
-        else:
-            self.cache = (
-                cache
-                if cache is not None
-                else ResultCache(cache_dir=cache_dir)  # type: ignore[arg-type]
+        if store is None or isinstance(store, str):
+            self.cache = make_store(
+                store or default_store_name(cache_dir), cache_dir=cache_dir
             )
-        #: Alias for the configured store (``cache`` predates the
-        #: pluggable store subsystem and remains the canonical slot).
-        self.store = self.cache
+        else:
+            self.cache = store
         # corrupt on-disk entries are skipped, counted and surfaced
         # through the event stream rather than crashing warm reruns;
-        # a callback already on a caller-supplied (or shared) cache
+        # a callback already on a caller-supplied (or shared) store
         # keeps firing -- this engine's emitter chains after it, and
         # close() unchains so dead engines never receive ghost events
         self._closed = False
@@ -186,19 +166,8 @@ class ExperimentEngine:
     # lifecycle
     # ------------------------------------------------------------------
     @property
-    def parallel(self) -> bool:
-        """Whether the configured backend runs cells concurrently."""
-        return self.backend.is_parallel
-
-    @property
-    def stats(self) -> CacheStats:
-        """Hit/miss accounting of this engine's result store.
-
-        A :class:`CacheStats` for the default :class:`ResultCache`, a
-        :class:`~repro.engine.store.StoreStats` for a custom store --
-        both expose ``hits`` / ``misses`` / ``puts`` / ``corrupt``
-        and ``as_dict()``.
-        """
+    def stats(self) -> StoreStats:
+        """Hit/miss accounting of this engine's result store."""
         return self.cache.stats
 
     def store_stats(self) -> List[Dict[str, Any]]:
@@ -209,15 +178,12 @@ class ExperimentEngine:
         puts, corrupt, ...}``.  Flows into the ``store_stats`` event
         and the CLI's ``--stats`` output.
         """
-        tier_stats = getattr(self.cache, "tier_stats", None)
-        if tier_stats is not None:
-            return tier_stats()
-        return [{"store": "cache", **self.cache.stats.as_dict()}]
+        return self.cache.tier_stats()
 
     def close(self) -> None:
-        """Release the backend and detach from the shared cache."""
+        """Release the backend and detach from the shared store."""
         self.backend.close()
-        # detach from the cache: restore the previous callback when we
+        # detach from the store: restore the previous callback when we
         # are still the top of the chain, and in any case stop emitting
         # (an engine wrapped later keeps its own link to the previous)
         self._closed = True

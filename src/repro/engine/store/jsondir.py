@@ -1,10 +1,10 @@
 """On-disk JSON-directory result store.
 
-The persistent format is unchanged from the original monolithic
-``ResultCache`` -- ``<dir>/<key[:2]>/<key>.json``, canonical JSON --
-so cache directories written by earlier versions keep working and
-directories this store writes stay readable by them (migration
-compatibility is covered by the store test suite).
+The persistent format is ``<dir>/<key[:2]>/<key>.json``, one compact
+JSON payload per file; it has not changed since the first on-disk
+cache, so cache directories written by earlier versions keep working
+and directories this store writes stay readable by them (the store
+test suite pins the layout).
 
 Writes are **atomic** (``tempfile.mkstemp`` in the entry's directory
 plus ``os.replace``): a killed writer can leave stray ``*.tmp`` files

@@ -64,14 +64,19 @@ class TieredStore(ResultStore):
         return f"tiered[{inner}]"
 
     def _get(self, key: str) -> Optional[Any]:
+        # tiers are read through _get and counted here, as _put does:
+        # one lookup is one ResultStore.get call, not one per tier
         for i, tier in enumerate(self.tiers):
-            payload = tier.get(key)
-            if payload is not None:
-                # read-through promotion: the payload is already
-                # sanitised (it entered through put() or JSON disk)
-                for upper in self.tiers[:i]:
-                    upper._put(key, payload)
-                return payload
+            payload = tier._get(key)
+            if payload is None:
+                tier.stats.misses += 1
+                continue
+            tier.stats.hits += 1
+            # read-through promotion: the payload is already
+            # sanitised (it entered through put() or JSON disk)
+            for upper in self.tiers[:i]:
+                upper._put(key, payload)
+            return payload
         return None
 
     def _put(self, key: str, payload: Any) -> None:

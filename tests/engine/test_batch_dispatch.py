@@ -120,7 +120,7 @@ class TestBatchedDispatchEquivalence:
         with ExperimentEngine(backend="serial") as eng:
             return specs, eng.run_cells(specs)
 
-    @pytest.mark.parametrize("backend", ("thread", "process", "sharded"))
+    @pytest.mark.parametrize("backend", ("process",))
     def test_backend_matches_serial(self, serial_reference, backend):
         specs, reference = serial_reference
         with ExperimentEngine(jobs=4, backend=backend) as eng:
@@ -156,7 +156,9 @@ class TestBatchedDispatchEquivalence:
 
 class TestPoolDispatchGrain:
     def test_vectorized_batches_ship_whole(self):
-        from repro.engine.backends.base import expand_for_pool
+        from repro.engine.backends.process import (
+            _expand_for_pool as expand_for_pool,
+        )
 
         batches = group_cells(list(benchmark_specs("radix", "decode", "synts")))
         units, origins = expand_for_pool(batches, workers=4)
@@ -167,9 +169,11 @@ class TestPoolDispatchGrain:
         not serialise inside one pool task when the batch count alone
         would starve the pool -- their cells become singleton units so
         --jobs still buys parallelism."""
-        from repro.engine.backends.base import (
-            expand_for_pool,
-            reassemble_units,
+        from repro.engine.backends.process import (
+            _expand_for_pool as expand_for_pool,
+        )
+        from repro.engine.backends.process import (
+            _reassemble_units as reassemble_units,
         )
 
         specs = list(
@@ -187,7 +191,9 @@ class TestPoolDispatchGrain:
     def test_no_split_when_batches_already_fill_the_pool(self):
         """With plenty of batches, splitting per-interval groups buys
         no parallelism and only pays IPC -- batches ship whole."""
-        from repro.engine.backends.base import expand_for_pool
+        from repro.engine.backends.process import (
+            _expand_for_pool as expand_for_pool,
+        )
 
         specs = []
         for benchmark in ("radix", "fmm", "cholesky", "barnes"):

@@ -1,15 +1,34 @@
-"""Result-cache behaviour: accounting, layering, disk round trips."""
+"""The engine's cache: the default store stack it builds for itself.
+
+With no ``store=``, ``ExperimentEngine(cache_dir=...)`` builds the
+store the CLI's ``--store`` default names -- a memory store, or a
+memory + jsondir tiered store when a cache dir is set.  These tests pin
+that stack's behaviour end to end: accounting, disk round trips,
+sanitising, corrupt entries and their healing.  ``test_store.py`` covers
+each store class on its own.
+"""
 
 import json
 
 import pytest
 
-from repro.engine import ResultCache, content_key, sanitize
+from repro.engine import CellSpec, EventLog, ExperimentEngine
+from repro.serialization import content_key, sanitize
+
+
+def _default_store(cache_dir=None):
+    """The store an engine builds when given no ``store=``."""
+    return ExperimentEngine(cache_dir=cache_dir).cache
+
+
+def _disk_hits(store) -> int:
+    (_, disk) = store.tier_stats()
+    return disk["hits"]
 
 
 class TestStats:
     def test_miss_then_hit(self):
-        cache = ResultCache()
+        cache = _default_store()
         assert cache.get("k" * 64) is None
         cache.put("k" * 64, {"v": 1})
         assert cache.get("k" * 64) == {"v": 1}
@@ -19,39 +38,30 @@ class TestStats:
         assert cache.stats.hit_rate == 0.5
 
     def test_contains_and_len(self):
-        cache = ResultCache()
+        cache = _default_store()
         key = content_key("x")
         assert key not in cache
         cache.put(key, [1, 2])
         assert key in cache
         assert len(cache) == 1
 
-    def test_clear_keeps_disk(self, tmp_path):
-        cache = ResultCache(cache_dir=tmp_path)
-        key = content_key("y")
-        cache.put(key, {"v": 2})
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get(key) == {"v": 2}
-        assert cache.stats.disk_hits == 1
-
 
 class TestDisk:
     def test_round_trip_across_instances(self, tmp_path):
         key = content_key("payload", 1)
-        first = ResultCache(cache_dir=tmp_path)
+        first = _default_store(tmp_path)
         first.put(key, {"rows": [[1, 2.5, "a"]], "note": None})
 
-        second = ResultCache(cache_dir=tmp_path)
+        second = _default_store(tmp_path)
         assert second.get(key) == {"rows": [[1, 2.5, "a"]], "note": None}
-        assert second.stats.disk_hits == 1
+        assert _disk_hits(second) == 1
         # promoted to memory: the next lookup does not touch disk
         assert second.get(key) is not None
-        assert second.stats.disk_hits == 1
+        assert _disk_hits(second) == 1
 
     def test_entries_are_plain_json_files(self, tmp_path):
         key = content_key("inspectable")
-        ResultCache(cache_dir=tmp_path).put(key, {"v": 3})
+        _default_store(tmp_path).put(key, {"v": 3})
         path = tmp_path / key[:2] / f"{key}.json"
         assert json.loads(path.read_text()) == {"v": 3}
 
@@ -60,75 +70,65 @@ class TestDisk:
         crash the disk write nor leak tmp files."""
         import numpy as np
 
-        cache = ResultCache(cache_dir=tmp_path)
         key = content_key("np")
-        cache.put(key, {"seed": np.int64(5), "xs": np.array([1.0, 2.0])})
-        fresh = ResultCache(cache_dir=tmp_path)
+        _default_store(tmp_path).put(
+            key, {"seed": np.int64(5), "xs": np.array([1.0, 2.0])}
+        )
+        fresh = _default_store(tmp_path)
         assert fresh.get(key) == {"seed": 5, "xs": [1.0, 2.0]}
-        leftovers = [p for p in tmp_path.rglob("*.tmp")]
-        assert leftovers == []
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_unserialisable_payload_raises_without_tmp_leak(self, tmp_path):
-        cache = ResultCache(cache_dir=tmp_path)
+        cache = _default_store(tmp_path)
         with pytest.raises(TypeError):
             cache.put(content_key("bad"), {"obj": object()})
-        assert [p for p in tmp_path.rglob("*.tmp")] == []
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         key = content_key("corrupt")
-        cache = ResultCache(cache_dir=tmp_path)
-        cache.put(key, {"v": 4})
+        _default_store(tmp_path).put(key, {"v": 4})
         path = tmp_path / key[:2] / f"{key}.json"
         path.write_text("{not json")
-        fresh = ResultCache(cache_dir=tmp_path)
+        fresh = _default_store(tmp_path)
         assert fresh.get(key) is None
         assert fresh.stats.misses == 1
         assert fresh.stats.corrupt == 1
 
     def test_corrupt_entry_invokes_callback_with_details(self, tmp_path):
         key = content_key("corrupt-cb")
-        cache = ResultCache(cache_dir=tmp_path)
-        cache.put(key, {"v": 5})
+        _default_store(tmp_path).put(key, {"v": 5})
         path = tmp_path / key[:2] / f"{key}.json"
         path.write_text('{"v": 5')  # truncated write
         seen = []
-        fresh = ResultCache(
-            cache_dir=tmp_path,
-            on_corrupt=lambda k, p, err: seen.append((k, p, err)),
-        )
+        fresh = _default_store(tmp_path)
+        fresh.on_corrupt = lambda k, p, err: seen.append((k, p, err))
         assert fresh.get(key) is None
         assert seen and seen[0][0] == key and str(path) in seen[0][1]
 
     def test_engine_chains_existing_on_corrupt_callback(self, tmp_path):
         """An engine must add its event emitter after a
         caller-supplied callback, not replace it."""
-        from repro.engine import CellSpec, EventLog, ExperimentEngine
-
         spec = CellSpec("radix", "decode", "nominal")
         ExperimentEngine(cache_dir=tmp_path).run_cells([spec])
         path = tmp_path / spec.key()[:2] / f"{spec.key()}.json"
         path.write_text("{broken")
 
         seen = []
-        cache = ResultCache(
-            cache_dir=tmp_path,
-            on_corrupt=lambda k, p, e: seen.append(k),
-        )
-        eng = ExperimentEngine(cache=cache)
+        cache = _default_store(tmp_path)
+        cache.on_corrupt = lambda k, p, e: seen.append(k)
+        eng = ExperimentEngine(store=cache)
         events = eng.subscribe(EventLog())
         eng.run_cells([spec])
         assert seen == [spec.key()]  # caller's callback still fires
         assert len(events.of_kind("cache_corrupt")) == 1
 
     def test_missing_entry_is_not_corrupt(self, tmp_path):
-        fresh = ResultCache(cache_dir=tmp_path)
+        fresh = _default_store(tmp_path)
         assert fresh.get(content_key("never-written")) is None
         assert fresh.stats.corrupt == 0
 
     def test_corrupt_entry_overwritten_by_recompute(self, tmp_path):
         """A warm rerun over a truncated entry recomputes and heals it."""
-        from repro.engine import CellSpec, EventLog, ExperimentEngine
-
         spec = CellSpec("radix", "decode", "nominal")
         cold = ExperimentEngine(cache_dir=tmp_path)
         (expected,) = cold.run_cells([spec])

@@ -123,7 +123,8 @@ class TestRunCells:
         warm = ExperimentEngine(cache_dir=tmp_path)
         b = warm.run_cells(specs)
         assert warm.cells_computed == 0
-        assert warm.stats.disk_hits == len(specs)
+        (_, disk) = warm.store_stats()
+        assert disk["hits"] == len(specs)
         assert a == b
 
     def test_totals_shape(self):

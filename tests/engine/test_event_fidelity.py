@@ -8,12 +8,7 @@ cell happened to run.  Backend-specific extras (shards, worker tags,
 
 import pytest
 
-from repro.engine import (
-    EventLog,
-    ExperimentEngine,
-    ResultCache,
-    benchmark_specs,
-)
+from repro.engine import EventLog, ExperimentEngine, benchmark_specs
 
 #: Events carrying per-cell coordinates, compared across backends.
 CELL_EVENT_KINDS = ("cell_cached", "cell_computed")
@@ -104,7 +99,7 @@ class TestCacheCorruptFidelity:
         key = spec.key()
         cache_dir = tmp_path / backend
         # a warm cache with one corrupt entry
-        seed = ExperimentEngine(cache=ResultCache(cache_dir=cache_dir))
+        seed = ExperimentEngine(cache_dir=cache_dir)
         seed.run_cells([spec])
         seed.close()
         path = cache_dir / key[:2] / f"{key}.json"
@@ -117,7 +112,7 @@ class TestCacheCorruptFidelity:
             else {}
         )
         engine = ExperimentEngine(
-            backend=backend, cache=ResultCache(cache_dir=cache_dir), **kwargs
+            backend=backend, cache_dir=cache_dir, **kwargs
         )
         log = engine.subscribe(EventLog())
         engine.run_cells([spec])

@@ -19,7 +19,10 @@ from repro.engine import (
     benchmark_specs,
     make_backend,
 )
-from repro.engine.backends.remote import parse_worker_addresses
+from repro.engine.backends.remote import (
+    parse_worker_addresses,
+    shard_of_batch,
+)
 from repro.engine.worker import start_loopback_workers, stop_workers
 
 REPO_ROOT = str(Path(__file__).resolve().parents[2])
@@ -58,6 +61,23 @@ class TestAddressParsing:
             parse_worker_addresses("")
 
 
+class TestShardPartition:
+    def test_shard_assignment_is_content_keyed(self):
+        """Every host agrees on a batch's shard: it is a pure function
+        of the batch's first content key, hashed or carried."""
+        from repro.engine import group_cells
+
+        specs = _two_group_specs()
+        keyed = group_cells(specs, keys=[spec.key() for spec in specs])
+        for batch, again in zip(keyed, group_cells(specs)):
+            assert again.keys is None
+            assert shard_of_batch(batch, 7) == shard_of_batch(again, 7)
+            assert 0 <= shard_of_batch(batch, 7) < 7
+            assert shard_of_batch(batch, 7) == int(batch.keys[0][:8], 16) % 7
+        with pytest.raises(ValueError, match="positive"):
+            shard_of_batch(keyed[0], 0)
+
+
 class TestFactory:
     def test_remote_is_registered(self):
         from repro.engine import backend_names
@@ -74,17 +94,11 @@ class TestFactory:
         )
         assert isinstance(backend, RemoteBackend)
         assert backend.describe() == "remote[2]"
-        assert backend.is_parallel
-        backend.close()
-
-    def test_single_worker_is_not_parallel(self):
-        backend = RemoteBackend("host1:7700")
-        assert not backend.is_parallel
         backend.close()
 
     def test_other_backends_reject_remote_workers_option(self):
         with pytest.raises(ValueError, match="--backend remote"):
-            make_backend("sharded", remote_workers="h:1")
+            make_backend("process", remote_workers="h:1")
 
     def test_other_backends_reject_token_actionably(self):
         """`--token` without `--backend remote` must name the flag's

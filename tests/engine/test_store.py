@@ -23,13 +23,12 @@ import pytest
 from repro.engine import (
     JsonDirStore,
     MemoryStore,
-    ResultCache,
     TieredStore,
-    content_key,
     make_store,
     register_store,
     store_names,
 )
+from repro.serialization import content_key
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -135,16 +134,17 @@ class TestJsonDirStore:
         assert fresh.stats.hits == 1
 
     def test_on_disk_format_matches_legacy_result_cache(self, tmp_path):
-        """Migration compatibility: the store reads ResultCache
-        directories and ResultCache reads store directories -- the
-        ``<key[:2]>/<key>.json`` layout is shared."""
+        """Migration compatibility: the engine's default tiered store
+        reads jsondir directories and the other way round -- both use
+        the ``<key[:2]>/<key>.json`` layout the first on-disk cache
+        wrote."""
         key = content_key("compat")
-        ResultCache(cache_dir=tmp_path / "a").put(key, {"v": 7})
+        make_store("tiered", cache_dir=tmp_path / "a").put(key, {"v": 7})
         assert JsonDirStore(tmp_path / "a").get(key) == {"v": 7}
         JsonDirStore(tmp_path / "b").put(key, {"v": 8})
-        cache = ResultCache(cache_dir=tmp_path / "b")
+        cache = make_store("tiered", cache_dir=tmp_path / "b")
         assert cache.get(key) == {"v": 8}
-        assert cache.stats.disk_hits == 1
+        assert cache.tiers[1].stats.hits == 1
         path = tmp_path / "b" / key[:2] / f"{key}.json"
         assert json.loads(path.read_text()) == {"v": 8}
 
@@ -221,6 +221,28 @@ class TestTieredStore:
         assert memory.stats.hits == 1
         assert tiered.stats.hits == 2
 
+    def test_one_lookup_is_one_store_get(self, tmp_path, monkeypatch):
+        """Tiers are read through ``_get`` and counted by the tiered
+        store, so span tracers wrapping ``ResultStore.get`` see one
+        call per lookup, however many tiers it walks."""
+        from repro.engine.store.base import ResultStore
+
+        calls = []
+        original = ResultStore.get
+
+        def counted(store, key):
+            calls.append(type(store).__name__)
+            return original(store, key)
+
+        monkeypatch.setattr(ResultStore, "get", counted)
+        key = content_key("t6")
+        JsonDirStore(tmp_path).put(key, {"v": 6})
+        tiered, memory, disk = self._tiered(tmp_path)
+        assert tiered.get(key) == {"v": 6}  # memory miss, disk hit
+        assert calls == ["TieredStore"]
+        assert (memory.stats.misses, memory.stats.hits) == (1, 0)
+        assert (disk.stats.misses, disk.stats.hits) == (0, 1)
+
     def test_per_tier_stats_records(self, tmp_path):
         tiered, _, _ = self._tiered(tmp_path)
         key = content_key("t3")
@@ -296,10 +318,10 @@ class TestEngineStoreOption:
         assert again == first
 
     def test_engine_rejects_cache_and_store(self, tmp_path):
+        """A prebuilt store already fixes its directory: a cache_dir
+        next to it is a conflict, not silently ignored."""
         from repro.engine import ExperimentEngine
 
-        with pytest.raises(ValueError, match="not both"):
-            ExperimentEngine(cache=ResultCache(), store="memory")
         with pytest.raises(ValueError, match="not both"):
             ExperimentEngine(
                 store=MemoryStore(), cache_dir=str(tmp_path)

@@ -12,11 +12,7 @@ events, every cell served as a worker-tagged ``cell_cached``.
 
 import pytest
 
-from repro.engine import (
-    EventLog,
-    ExperimentEngine,
-    ResultCache,
-)
+from repro.engine import EventLog, ExperimentEngine
 from repro.engine.backends.remote import RemoteBackend
 from repro.engine.worker import start_loopback_workers, stop_workers
 from repro.experiments import fig_6_18
@@ -61,13 +57,6 @@ class TestLocalStoreConfigurations:
             {} if store == "memory" else {"cache_dir": str(tmp_path)}
         )
         with ExperimentEngine(store=store, **kwargs) as eng:
-            assert eng.run_cells(specs) == reference
-
-    def test_result_cache_facade_matches(self, serial_reference, tmp_path):
-        specs, reference = serial_reference
-        with ExperimentEngine(
-            cache=ResultCache(cache_dir=tmp_path)
-        ) as eng:
             assert eng.run_cells(specs) == reference
 
     def test_warm_client_rerun_is_pure_cache(

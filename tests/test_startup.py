@@ -52,8 +52,6 @@ FORBIDDEN = (
     "concurrent.futures",
     "repro.engine.worker",
     "repro.engine.backends.process",
-    "repro.engine.backends.thread",
-    "repro.engine.backends.sharded",
     "repro.engine.backends.remote",
     "repro.errors",
     "repro.circuit",
