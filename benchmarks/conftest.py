@@ -11,11 +11,7 @@ timed cold by default; the harness honours these environment knobs:
 * ``REPRO_BENCH_JOBS``       -- workers for experiment cells
   (default 1: the serial reference path);
 * ``REPRO_BENCH_BACKEND``    -- executor backend name (``serial`` /
-  ``process`` / ``remote``; default: the engine's jobs-based choice);
-* ``REPRO_BENCH_WORKERS``    -- remote worker addresses for the
-  ``remote`` backend (``host1:port,host2:port``), or ``auto[:N]`` to
-  spawn N loopback workers (default 2) for the whole benchmark
-  session -- the configuration CI's loopback smoke mirrors;
+  ``process``; default: the engine's jobs-based choice);
 * ``REPRO_BENCH_CACHE_DIR``  -- share an on-disk result cache across
   figures/sessions (warm-run benchmarking).
 
@@ -66,37 +62,8 @@ def _summarize(result) -> object:
     return repr(result)
 
 
-@pytest.fixture(scope="session")
-def bench_remote_workers():
-    """Remote worker addresses for ``REPRO_BENCH_BACKEND=remote``.
-
-    ``REPRO_BENCH_WORKERS`` names them explicitly; ``auto[:N]`` (or
-    leaving it unset with the remote backend selected) spawns N
-    loopback workers (default 2) that live for the whole session.
-    Yields ``None`` when the remote backend is not in play.
-    """
-    spec = os.environ.get("REPRO_BENCH_WORKERS") or None
-    backend = os.environ.get("REPRO_BENCH_BACKEND") or None
-    if backend != "remote" and spec is None:
-        yield None
-        return
-    if spec is not None and not spec.startswith("auto"):
-        yield spec
-        return
-    from repro.engine.worker import start_loopback_workers, stop_workers
-
-    n = 2
-    if spec is not None and ":" in spec:
-        n = max(1, int(spec.split(":", 1)[1]))
-    processes, addresses = start_loopback_workers(n)
-    try:
-        yield ",".join(addresses)
-    finally:
-        stop_workers(processes)
-
-
 @pytest.fixture
-def regenerate(benchmark, request, bench_remote_workers):
+def regenerate(benchmark, request):
     """Run an experiment once under the benchmark clock, record a
     BENCH_*.json timing entry, and return the result for shape
     assertions."""
@@ -115,10 +82,7 @@ def regenerate(benchmark, request, bench_remote_workers):
         _interval_problems.cache_clear()
         clear_curve_cache()
         with engine_session(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            backend=backend,
-            remote_workers=bench_remote_workers,
+            jobs=jobs, cache_dir=cache_dir, backend=backend
         ) as engine:
             start = time.perf_counter()
             result = benchmark.pedantic(

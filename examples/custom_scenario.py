@@ -63,7 +63,7 @@ def main():
     )
 
     # the serial backend runs in this process, so it sees the runtime
-    # registrations above (pool and remote workers need REPRO_BOOTSTRAP)
+    # registrations above (pool workers need REPRO_BOOTSTRAP)
     engine = ExperimentEngine()
     log = engine.subscribe(EventLog())
 

@@ -11,10 +11,6 @@ Usage::
     python -m repro headline --jobs 4 --progress
     python -m repro table_5_1 --cache-dir .repro-cache   # warm reruns
     python -m repro ablation heterogeneity
-    python -m repro worker --serve 0.0.0.0:7700          # remote worker
-    python -m repro worker --serve 0.0.0.0:7700 --cache-dir /var/repro \
-        --token SECRET                                   # cached + authed
-    python -m repro fig_6_18 --backend remote --workers host1:7700,host2:7700
     python -m repro cache info --cache-dir .repro-cache  # store maintenance
     python -m repro cache prune --older-than 7d --cache-dir .repro-cache
 
@@ -22,12 +18,8 @@ Every regeneration goes through the experiment engine:
 
 * ``--jobs N`` fans the experiment's cells out over N workers
   (results are bit-identical to the serial run);
-* ``--backend {serial,process,remote}`` picks the executor backend
+* ``--backend {serial,process}`` picks the executor backend
   (default: process pool when ``--jobs > 1``, else serial);
-  ``--workers HOST:PORT[,...]`` names the remote backend's worker
-  processes (``python -m repro worker``);
-  ``--token`` (or ``REPRO_WORKER_TOKEN``) is the workers' shared
-  auth secret;
 * ``--cache-dir DIR`` persists every cell and figure to a
   content-addressed on-disk result store, so repeated runs -- and
   figures sharing sub-problems -- skip the recomputation;
@@ -38,8 +30,8 @@ Every regeneration goes through the experiment engine:
 * ``--stats`` prints store hit/miss accounting (per tier) to stderr.
 
 ``REPRO_BOOTSTRAP=module:function`` names registration hooks that the
-CLI, process-pool workers and remote workers all run at start-up, so
-user schemes/workloads resolve identically everywhere (see
+CLI and process-pool workers both run at start-up, so user
+schemes/workloads resolve identically everywhere (see
 ``repro.engine.bootstrap``).
 """
 
@@ -80,20 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=backend_names(),
         default=argparse.SUPPRESS,
         help="executor backend (default: process when --jobs > 1)",
-    )
-    engine_opts.add_argument(
-        "--workers",
-        metavar="HOST:PORT[,HOST:PORT...]",
-        default=argparse.SUPPRESS,
-        help="remote worker addresses for --backend remote "
-        "(each a 'python -m repro worker --serve' process)",
-    )
-    engine_opts.add_argument(
-        "--token",
-        default=argparse.SUPPRESS,
-        metavar="SECRET",
-        help="shared auth secret for --backend remote workers started "
-        "with --token (default: the REPRO_WORKER_TOKEN env var)",
     )
     engine_opts.add_argument(
         "--cache-dir",
@@ -163,57 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[engine_opts],
     )
     abl_p.add_argument("name", help="ablation id from 'list', or 'all'")
-    worker_p = sub.add_parser(
-        "worker",
-        help="serve experiment cells to remote-backend clients",
-        description="Run a long-lived worker process: binds HOST:PORT, "
-        "runs the registry bootstrap (REPRO_BOOTSTRAP, --bootstrap, "
-        "'repro.registrations' entry points), prints 'repro worker: "
-        "listening on HOST:PORT' to stdout once ready, then serves "
-        "content-keyed shards from '--backend remote' clients until "
-        "killed. Results are bit-identical to a local serial run.",
-    )
-    worker_p.add_argument(
-        "--serve",
-        required=True,
-        metavar="HOST:PORT",
-        help="address to listen on (port 0 picks a free port)",
-    )
-    worker_p.add_argument(
-        "--bootstrap",
-        action="append",
-        default=[],
-        metavar="MODULE:FUNCTION",
-        help="extra registration hook(s) to run at start-up, in "
-        "addition to REPRO_BOOTSTRAP and installed entry points "
-        "(repeatable; a bare MODULE means importing it registers)",
-    )
-    # SUPPRESS, like the engine_opts parents: these names also exist
-    # on the main parser, and a plain default would clobber a value
-    # given before the subcommand (`repro --token S worker ...`)
-    worker_p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=argparse.SUPPRESS,
-        help="keep a worker-side result store in DIR: shards computed "
-        "before (for any client) are served from it, and clients "
-        "dispatch with the spec-saving delta protocol",
-    )
-    worker_p.add_argument(
-        "--store",
-        choices=store_names(),
-        default=argparse.SUPPRESS,
-        help="worker store layering (default: tiered memory+disk "
-        "when --cache-dir is given)",
-    )
-    worker_p.add_argument(
-        "--token",
-        metavar="SECRET",
-        default=argparse.SUPPRESS,
-        help="require clients to authenticate with this shared secret "
-        "(HMAC over a per-connection nonce; default: the "
-        "REPRO_WORKER_TOKEN env var)",
-    )
     cache_p = sub.add_parser(
         "cache",
         help="inspect or maintain a result store (info/prune/clear)",
@@ -229,6 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("info", "prune", "clear"),
         help="maintenance operation",
     )
+    # SUPPRESS, like the engine_opts parents: these names also exist
+    # on the main parser, and a plain default would clobber a value
+    # given before the subcommand (`repro --cache-dir D cache info`)
     cache_p.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -280,9 +210,7 @@ _VALUE_FLAGS = (
     "-j",
     "--cache-dir",
     "--backend",
-    "--workers",
     "--store",
-    "--token",
 )
 
 
@@ -298,7 +226,7 @@ def _normalize_argv(argv, experiments) -> list:
             # don't mistake a flag's value for the experiment token
             skip_value = token in _VALUE_FLAGS
             continue
-        if token in ("list", "run", "ablation", "worker", "cache"):
+        if token in ("list", "run", "ablation", "cache"):
             return argv
         if token in experiments or token == "all":
             return argv[:i] + ["run"] + argv[i:]
@@ -353,18 +281,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_normalize_argv(argv, EXPERIMENTS))
 
-    if args.command != "worker":
-        # the client side of the bootstrap hook: listings, cell specs
-        # and validation all see the same registry picture the pool /
-        # remote workers will (the worker path bootstraps itself, with
-        # its --bootstrap extras)
-        from repro.engine.bootstrap import run_bootstrap
+    # the submitting side of the bootstrap hook: listings, cell specs
+    # and validation all see the same registry picture the pool
+    # workers will
+    from repro.engine.bootstrap import run_bootstrap
 
-        try:
-            run_bootstrap()
-        except RuntimeError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
+    try:
+        run_bootstrap()
+    except RuntimeError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
     if args.list or args.list_schemes or args.list_benchmarks:
         if args.command is not None:
@@ -384,8 +310,6 @@ def main(argv=None) -> int:
     if args.command == "list":
         _print_registries()
         return 0
-    if args.command == "worker":
-        return _serve_worker(args)
     if args.command == "cache":
         return _cache_command(args)
 
@@ -399,18 +323,11 @@ def main(argv=None) -> int:
     jobs = getattr(args, "jobs", None)
     cache_dir = getattr(args, "cache_dir", None)
     backend = getattr(args, "backend", None)
-    workers = getattr(args, "workers", None)
     store = getattr(args, "store", None)
-    token = getattr(args, "token", None)
     stats = getattr(args, "stats", False)
     try:
         engine = ExperimentEngine(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            backend=backend,
-            remote_workers=workers,
-            store=store,
-            worker_token=token,
+            jobs=jobs, cache_dir=cache_dir, backend=backend, store=store
         )
     except (KeyError, ValueError, OSError, RuntimeError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
@@ -438,43 +355,6 @@ def main(argv=None) -> int:
                 label = tier.pop("store", "?")
                 print(f"store tier {label}: {tier}", file=sys.stderr)
     return code
-
-
-def _serve_worker(args) -> int:
-    """Run the ``repro worker`` subcommand until shut down."""
-    from repro.engine.worker import serve
-
-    host, _, port_text = args.serve.rpartition(":")
-    try:
-        if not host:
-            raise ValueError
-        port = int(port_text)
-        if not (0 <= port < 65536):
-            raise ValueError
-    except ValueError:
-        print(
-            f"repro: --serve expects HOST:PORT (port 0-65535), "
-            f"got {args.serve!r}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        serve(
-            host,
-            port,
-            bootstrap=args.bootstrap,
-            cache_dir=getattr(args, "cache_dir", None),
-            store=getattr(args, "store", None),
-            token=getattr(args, "token", None),
-        )
-    except (RuntimeError, OSError, ValueError, KeyError) as exc:
-        # e.g. a failing bootstrap hook, a store needing a directory,
-        # or the port already bound
-        print(f"repro worker: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        pass
-    return 0
 
 
 def _cache_command(args) -> int:

@@ -4,13 +4,11 @@ The paper's evaluation regenerates ~14 tables/figures, each sweeping
 (benchmark x stage x scheme x interval) sub-problems.  This package
 decomposes those sweeps into pure, picklable *cells*
 (:mod:`~repro.engine.cells`), executes them on a pluggable executor
-backend -- serial, process pool, or remote workers on other machines
-(:mod:`~repro.engine.backends`) -- and memoises every result under
-content-hash keys (:mod:`repro.serialization`) in a pluggable, tiered
-result store (:mod:`~repro.engine.store`) -- in memory within
-a session, on disk across sessions (``--cache-dir`` / ``--store``),
-and on cache-keeping remote workers across clients (the delta
-protocol of :mod:`~repro.engine.backends.remote`).  Progress is
+backend -- serial or process pool (:mod:`~repro.engine.backends`) --
+and memoises every result under content-hash keys
+(:mod:`repro.serialization`) in a pluggable, tiered result store
+(:mod:`~repro.engine.store`) -- in memory within a session, on disk
+across sessions (``--cache-dir`` / ``--store``).  Progress is
 observable as a structured event stream
 (:mod:`~repro.engine.events`).
 
@@ -34,7 +32,6 @@ _EXPORTS = {
     "backends": (
         "ExecutorBackend",
         "ProcessBackend",
-        "RemoteBackend",
         "SerialBackend",
         "backend_names",
         "make_backend",
@@ -83,7 +80,6 @@ __all__ = [
     "MemoryStore",
     "ProcessBackend",
     "ProgressPrinter",
-    "RemoteBackend",
     "ResultStore",
     "SerialBackend",
     "StoreStats",

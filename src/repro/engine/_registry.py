@@ -3,11 +3,12 @@
 Both open registries of the engine -- executor backends
 (:mod:`repro.engine.backends`) and result stores
 (:mod:`repro.engine.store`) -- follow the same pattern: a name ->
-factory mapping, ``register_*`` with an explicit ``replace`` guard,
-and keyword-only option forwarding discovered from the factory's
-signature (passing an option the chosen factory does not accept is an
-error, not a silent no-op).  This module is that pattern, written
-once, so the two registries cannot drift.
+factory mapping and ``register_*`` with an explicit ``replace``
+guard.  Store factories also get keyword-only option forwarding
+discovered from the factory's signature (passing an option the
+chosen factory does not accept is an error, not a silent no-op).
+This module is that pattern, written once, so the two registries
+cannot drift.
 """
 
 from __future__ import annotations
@@ -75,12 +76,9 @@ def validate_factory_options(
     name: str,
     factory: Callable,
     options: Dict,
-    hints: Optional[Mapping[str, str]] = None,
 ) -> Dict:
     """Drop ``None`` options; reject ones the factory does not accept.
 
-    ``hints`` maps option names to extra guidance appended to the
-    error (e.g. pointing a CLI flag at the backend that accepts it).
     Returns the filtered options ready to pass to the factory.
     """
     options = {k: v for k, v in options.items() if v is not None}
@@ -88,13 +86,8 @@ def validate_factory_options(
     if accepted is not None:
         unknown = set(options) - accepted
         if unknown:
-            extra = "".join(
-                hint
-                for option, hint in (hints or {}).items()
-                if option in unknown
-            )
             raise ValueError(
                 f"{kind} {name!r} does not accept option(s) "
-                f"{sorted(unknown)}{extra}"
+                f"{sorted(unknown)}"
             )
     return options

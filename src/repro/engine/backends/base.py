@@ -2,7 +2,7 @@
 
 A backend answers exactly one question: *given pending cell
 batches, produce their results* -- :meth:`ExecutorBackend.run_batches`
-is the whole contract.  Scheduling, worker pools and sharding are the
+is the whole contract.  Scheduling and worker pools are the
 backend's business; dedup, caching and result assembly stay in
 :class:`~repro.engine.executor.ExperimentEngine`.  Because cells are
 pure functions of their specs, every backend is required to be
@@ -12,8 +12,8 @@ backends.
 
 Backends receive an ``emit`` callable and report per-cell progress
 (``cell_computed``, with wall seconds where the schedule makes the
-attribution honest) plus backend-specific events (shard progress,
-pool fallbacks).  Emission must never affect results.
+attribution honest) plus backend-specific events (pool
+fallbacks).  Emission must never affect results.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ __all__ = [
     "EmitFn",
     "null_emit",
     "emit_batch_cells",
-    "needed_registry_names",
 ]
 
 #: ``emit(kind, **fields)``: the engine's event channel, handed to
-#: backends for per-cell / per-shard progress.
+#: backends for per-cell progress.
 EmitFn = Callable[..., None]
 
 
@@ -65,24 +64,10 @@ def emit_batch_cells(
         emit("cell_computed", **fields)
 
 
-def needed_registry_names(batches: Sequence["CellBatch"]) -> tuple:
-    """(scheme names, benchmark names) the pending batches resolve.
-
-    The up-front registry validation of worker-shipping backends
-    (process pool, remote) checks these against the workers' actual
-    registries before any cell is dispatched.
-    """
-    schemes = {spec.scheme for batch in batches for spec in batch.specs}
-    benchmarks = {
-        spec.benchmark for batch in batches for spec in batch.specs
-    }
-    return schemes, benchmarks
-
-
 class ExecutorBackend:
     """Strategy interface for computing pending cell batches."""
 
-    #: Stable registry name (``serial``, ``process``, ``remote``, ...).
+    #: Stable registry name (``serial``, ``process``, ...).
     name: str = "abstract"
 
     def run_batches(
@@ -115,7 +100,7 @@ class ExecutorBackend:
         return results
 
     def close(self) -> None:
-        """Release worker pools / remote connections (idempotent)."""
+        """Release worker pools (idempotent)."""
 
     def describe(self) -> str:
         """Human-readable form for progress events (``process[4]``)."""

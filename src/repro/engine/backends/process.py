@@ -34,13 +34,7 @@ from repro.engine.cells import (
     split_batch,
 )
 
-from .base import (
-    EmitFn,
-    ExecutorBackend,
-    emit_batch_cells,
-    needed_registry_names,
-    null_emit,
-)
+from .base import EmitFn, ExecutorBackend, emit_batch_cells, null_emit
 
 __all__ = ["ProcessBackend", "pool_chunksize"]
 
@@ -179,7 +173,10 @@ class ProcessBackend(ExecutorBackend):
         for the pool's actual state).  A pool too broken to probe is
         left for the dispatch path's loud serial fallback.
         """
-        needed_schemes, needed_benchmarks = needed_registry_names(units)
+        needed_schemes = {s.scheme for unit in units for s in unit.specs}
+        needed_benchmarks = {
+            s.benchmark for unit in units for s in unit.specs
+        }
         try:
             pool = self._ensure_pool()
             schemes, benchmarks = pool.submit(

@@ -1,12 +1,12 @@
 """Worker registry bootstrap: import-time registrations, everywhere.
 
 Runtime scheme/workload registrations live in the registering process.
-That is fine for the serial backend, but process-pool
-workers and remote workers re-import the code (or fork before the
-registration happened) and resolve cells against *their own* copy of
-the registries.  The distribution-safe pattern has always been
-"register at import time of a module the workers also import" -- this
-module is the hook that makes that pattern executable:
+That is fine for the serial backend, but process-pool workers
+re-import the code (or fork before the registration happened) and
+resolve cells against *their own* copy of the registries.  The
+portable pattern has always been "register at import time of a
+module the workers also import" -- this module is the hook that makes
+that pattern executable:
 
 * ``REPRO_BOOTSTRAP=module:function`` (comma-separated specs allowed;
   a bare ``module`` means "importing it is the registration") names
@@ -14,9 +14,9 @@ module is the hook that makes that pattern executable:
 * the ``repro.registrations`` entry-point group lets installed
   packages contribute registrations without any environment variable;
 * :func:`run_bootstrap` executes both, exactly once per spec per
-  process, and is called by the process-pool worker initialiser, by
-  ``python -m repro worker`` at start-up, and by the CLI itself (so
-  the submitting side sees the same registry picture its workers do).
+  process, and is called by the process-pool worker initialiser and
+  by the CLI itself (so the submitting side sees the same registry
+  picture its workers do).
 
 Bootstrap functions should register with ``replace=True`` so a hook
 that runs twice (e.g. in the submitting process *and* a forked
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import importlib
 import os
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List
 
 __all__ = [
     "BOOTSTRAP_ENV",
@@ -39,15 +39,13 @@ __all__ = [
 ]
 
 #: Environment variable naming bootstrap hooks (``module:function``,
-#: comma-separated).  Inherited by forked/spawned pool workers and
-#: read by ``python -m repro worker`` at start-up.
+#: comma-separated).  Inherited by forked/spawned pool workers.
 BOOTSTRAP_ENV = "REPRO_BOOTSTRAP"
 
 #: Entry-point group scanned for installed registration hooks.
 ENTRY_POINT_GROUP = "repro.registrations"
 
-#: The remedy worker-side registry-miss errors point at (shared by
-#: the process and remote backends so the guidance cannot drift).
+#: The remedy the process backend's registry-miss error points at.
 BOOTSTRAP_REMEDY = (
     "set REPRO_BOOTSTRAP=module:function (or install a "
     "'repro.registrations' entry point) so every worker runs the "
@@ -101,27 +99,15 @@ def parse_bootstrap(spec: str) -> Callable[[], object]:
     return target  # type: ignore[return-value]
 
 
-def bootstrap_specs(extra: Optional[Sequence[str]] = None) -> List[str]:
-    """The bootstrap specs this process would run, in order.
+def bootstrap_specs() -> List[str]:
+    """The ``REPRO_BOOTSTRAP`` specs this process would run, in order.
 
-    ``REPRO_BOOTSTRAP`` specs first (environment order), then any
-    ``extra`` specs (e.g. a worker's ``--bootstrap`` flags).  Blank
-    segments are dropped; duplicates keep their first position.
+    Environment order; blank segments are dropped and duplicates keep
+    their first position.
     """
-    raw: List[str] = []
     env = os.environ.get(BOOTSTRAP_ENV, "")
-    raw.extend(part.strip() for part in env.split(",") if part.strip())
-    for spec in extra or ():
-        spec = spec.strip()
-        if spec:
-            raw.append(spec)
-    seen = set()
-    ordered = []
-    for spec in raw:
-        if spec not in seen:
-            seen.add(spec)
-            ordered.append(spec)
-    return ordered
+    parts = (part.strip() for part in env.split(","))
+    return list(dict.fromkeys(part for part in parts if part))
 
 
 def _entry_point_hooks() -> List[tuple]:
@@ -138,20 +124,19 @@ def _entry_point_hooks() -> List[tuple]:
     return hooks
 
 
-def run_bootstrap(extra: Optional[Sequence[str]] = None) -> List[str]:
+def run_bootstrap() -> List[str]:
     """Run every configured bootstrap hook once per process.
 
-    Executes, in order: ``REPRO_BOOTSTRAP`` specs, ``extra`` specs,
-    then installed ``repro.registrations`` entry points.  Each hook
-    runs at most once per process (a second :func:`run_bootstrap`
-    call, or a fork that already inherited the registrations, is a
-    no-op for it).  Returns the labels of hooks that actually ran.
-    A failing hook raises ``RuntimeError`` naming the spec -- a worker
-    that cannot see the registrations it was promised must not serve
-    cells.
+    Executes, in order: ``REPRO_BOOTSTRAP`` specs, then installed
+    ``repro.registrations`` entry points.  Each hook runs at most
+    once per process (a second :func:`run_bootstrap` call, or a fork
+    that already inherited the registrations, is a no-op for it).
+    Returns the labels of hooks that actually ran.  A failing hook
+    raises ``RuntimeError`` naming the spec -- a worker that cannot
+    see the registrations it was promised must not serve cells.
     """
     ran: List[str] = []
-    for spec in bootstrap_specs(extra):
+    for spec in bootstrap_specs():
         if spec in _already_run:
             continue
         hook = parse_bootstrap(spec)

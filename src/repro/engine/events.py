@@ -2,8 +2,8 @@
 
 The engine and its executor backends emit :class:`EngineEvent`s at
 every observable step -- batch submitted, cell served from cache, cell
-computed (with wall time), shard started/finished, corrupt cache entry
-skipped, experiment memo hit/computed.  Events are *observability
+computed (with wall time), corrupt cache entry skipped, experiment
+memo hit/computed.  Events are *observability
 only*: no result ever depends on them, subscribers cannot change what
 is computed, and an engine with no subscribers pays one ``if`` per
 event.
@@ -42,13 +42,10 @@ class EngineEvent:
     """One engine observation.
 
     ``kind`` is a stable string (``batch_started``, ``cell_cached``,
-    ``cell_computed``, ``shard_started``, ``shard_finished``,
-    ``backend_fallback``, ``worker_lost``, ``cache_corrupt``,
+    ``cell_computed``, ``backend_fallback``, ``cache_corrupt``,
     ``experiment_cached``, ``experiment_computed``,
-    ``batch_finished``); ``data`` is a flat, JSON-friendly mapping of
-    the observation's facts.  Events produced on a remote worker are
-    forwarded into the client's stream with a ``worker`` field naming
-    the ``host:port`` they came from.
+    ``batch_finished``, ``store_stats``); ``data`` is a flat,
+    JSON-friendly mapping of the observation's facts.
     """
 
     kind: str
@@ -113,24 +110,6 @@ class ProgressPrinter:
             self._say(
                 f"  [{self._done}/{self._pending}] "
                 f"{_cell_label(data)}{timing}"
-            )
-        elif kind == "shard_started":
-            where = (
-                f" -> {data.get('worker')}" if data.get("worker") else ""
-            )
-            self._say(
-                f" shard {data.get('shard')}/{data.get('n_shards')}: "
-                f"{data.get('n_cells')} cells{where}"
-            )
-        elif kind == "shard_finished":
-            self._say(
-                f" shard {data.get('shard')}/{data.get('n_shards')} done "
-                f"({data.get('seconds', 0.0):.2f}s)"
-            )
-        elif kind == "worker_lost":
-            self._say(
-                f"warning: remote worker {data.get('worker')} lost "
-                f"({data.get('error')}); redistributing its shards"
             )
         elif kind == "batch_finished":
             self._say(

@@ -4,8 +4,8 @@
 CLI and the benchmark harness go through:
 
 * ``run_cells(specs)`` -- evaluate experiment cells, deduplicated and
-  cache-backed, on a pluggable :class:`ExecutorBackend` (serial,
-  process pool or remote workers).  Every backend produces
+  cache-backed, on a pluggable :class:`ExecutorBackend` (serial or
+  process pool).  Every backend produces
   bit-identical :class:`~repro.engine.cells.CellResult` lists because
   cells are pure functions of their specs.
 * ``experiment(key_parts, thunk)`` -- whole-figure memoisation: the
@@ -17,7 +17,7 @@ CLI and the benchmark harness go through:
 Progress is observable: subscribe a callback (or the CLI's
 ``--progress`` / ``--log-json`` printers) and the engine emits
 :class:`~repro.engine.events.EngineEvent`s for every cache hit, cell
-computation, shard, corrupt cache entry and experiment memo decision.
+computation, corrupt cache entry and experiment memo decision.
 Events never influence results.
 
 The engine never mutates global state; sessions are managed by
@@ -90,14 +90,8 @@ class ExperimentEngine:
         (memory + disk) when ``cache_dir`` is set, else ``memory``.
     backend:
         An :class:`ExecutorBackend` instance, or a registered backend
-        name (``serial`` / ``process`` / ``remote``).  Default:
-        ``remote`` when ``remote_workers`` is given, ``process`` when
+        name (``serial`` / ``process``).  Default: ``process`` when
         ``jobs > 1``, else ``serial``.
-    remote_workers:
-        Remote worker addresses for the ``remote`` backend -- the
-        CLI's ``host1:port,host2:port`` string or a sequence of
-        ``host:port`` entries (each a ``python -m repro worker
-        --serve`` process).
     """
 
     def __init__(
@@ -105,9 +99,7 @@ class ExperimentEngine:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         backend: Union[ExecutorBackend, str, None] = None,
-        remote_workers: Optional[Union[str, Sequence[str]]] = None,
         store: Union[ResultStore, str, None] = None,
-        worker_token: Optional[str] = None,
     ):
         if (
             store is not None
@@ -123,19 +115,8 @@ class ExperimentEngine:
         if isinstance(backend, ExecutorBackend):
             self.backend = backend
         else:
-            name = backend or (
-                "remote"
-                if remote_workers
-                else "process"
-                if self.jobs > 1
-                else "serial"
-            )
-            self.backend = make_backend(
-                name,
-                workers=self.jobs,
-                remote_workers=remote_workers,
-                worker_token=worker_token,
-            )
+            name = backend or ("process" if self.jobs > 1 else "serial")
+            self.backend = make_backend(name, workers=self.jobs)
         if store is None or isinstance(store, str):
             self.cache = make_store(
                 store or default_store_name(cache_dir), cache_dir=cache_dir
@@ -272,32 +253,16 @@ class ExperimentEngine:
             # cache keys and result alignment are untouched -- batches
             # are reassembled through the same key-indexed mapping.
             batches = group_cells(pending, keys=pending_keys)
-            # a cache-keeping remote worker serves some dispatched
-            # cells from its own store and reports them as cell_cached
-            # (worker-tagged) instead of cell_computed; tally those so
-            # the computed counters describe actual evaluations
-            worker_cached = 0
-
-            def dispatch_emit(kind: str, **data: Any) -> None:
-                nonlocal worker_cached
-                if kind == "cell_cached":
-                    worker_cached += 1
-                self._emit(kind, **data)
-
-            n_returned = 0
             for batch, cells in zip(
-                batches, self.backend.run_batches(batches, dispatch_emit)
+                batches, self.backend.run_batches(batches, self._emit)
             ):
                 for key, cell in zip(batch.keys, cells):
                     self.cache.put(key, cell.to_payload())
                     results[key] = cell
-                    n_returned += 1
-            n_computed = n_returned - worker_cached
-            self.cells_computed += n_computed
+            self.cells_computed += len(pending)
             self._emit(
                 "batch_finished",
-                n_computed=n_computed,
-                n_worker_cached=worker_cached,
+                n_computed=len(pending),
                 seconds=round(time.perf_counter() - start, 6),
             )
             self._emit("store_stats", tiers=self.store_stats())

@@ -40,37 +40,19 @@ def engine_session(
     cache_dir: Optional[str] = None,
     engine: Optional[ExperimentEngine] = None,
     backend: Optional[str] = None,
-    remote_workers: Optional[str] = None,
     store: Optional[str] = None,
-    worker_token: Optional[str] = None,
 ) -> Iterator[ExperimentEngine]:
     """Scope a configured (or prebuilt) engine as the session default.
 
     The previous engine is restored on exit; the scoped engine's
-    worker pool (or remote connections) is shut down.  ``store``
-    names a registered result store (the CLI's ``--store``);
-    ``worker_token`` is the remote backend's shared-secret auth token.
+    worker pool is shut down.  ``store`` names a registered result
+    store (the CLI's ``--store``).
     """
     if engine is None:
         engine = ExperimentEngine(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            backend=backend,
-            remote_workers=remote_workers,
-            store=store,
-            worker_token=worker_token,
+            jobs=jobs, cache_dir=cache_dir, backend=backend, store=store
         )
-    elif any(
-        opt is not None
-        for opt in (
-            jobs,
-            cache_dir,
-            backend,
-            remote_workers,
-            store,
-            worker_token,
-        )
-    ):
+    elif any(opt is not None for opt in (jobs, cache_dir, backend, store)):
         raise ValueError("pass either a prebuilt engine or its options")
     previous = _default_engine
     set_engine(engine)

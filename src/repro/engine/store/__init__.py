@@ -1,8 +1,8 @@
 """Pluggable result stores for the experiment engine.
 
 Three stores ship in-tree, selected by name through
-:func:`make_store` (the CLI's ``--store`` option and the worker's
-``--cache-dir`` go through it):
+:func:`make_store` (the CLI's ``--store`` and ``--cache-dir``
+options go through it):
 
 * ``memory``  -- volatile dict store; the default with no cache dir.
 * ``jsondir`` -- the on-disk JSON-directory format (atomic writes,

@@ -24,7 +24,7 @@ def _specs():
 
 class TestFactory:
     def test_in_tree_backends_registered(self):
-        assert backend_names() == ("serial", "process", "remote")
+        assert backend_names() == ("serial", "process")
 
     def test_make_by_name(self):
         assert isinstance(make_backend("serial"), SerialBackend)

@@ -1,9 +1,9 @@
 """Event-stream fidelity across backends.
 
-Serial, process and remote runs must emit the *same per-cell event
+Serial and process-pool runs must emit the *same per-cell event
 multiset* (ordering aside): observability never depends on where a
-cell happened to run.  Backend-specific extras (shards, worker tags,
-``worker_lost``) ride alongside without disturbing the per-cell view.
+cell happened to run.  Backend-specific extras (``backend_fallback``)
+ride alongside without disturbing the per-cell view.
 """
 
 import pytest
@@ -60,26 +60,13 @@ class TestPerCellMultiset:
         assert results == reference
         assert _cell_multiset(log) == _cell_multiset(serial_log)
 
-    def test_remote_matches_serial(self, serial_run, loopback_workers):
-        reference, serial_log = serial_run
-        results, log = _run_and_log(
-            lambda: ExperimentEngine(
-                backend="remote", remote_workers=loopback_workers
-            )
-        )
-        assert results == reference
-        assert _cell_multiset(log) == _cell_multiset(serial_log)
-
-    def test_cached_rerun_multiset_matches(self, loopback_workers):
+    def test_cached_rerun_multiset_matches(self):
         """A warm rerun flips every cell_computed to cell_cached --
-        identically for serial and remote engines."""
+        identically for serial and process-pool engines."""
         multisets = {}
         for name, kwargs in (
             ("serial", {"backend": "serial"}),
-            (
-                "remote",
-                {"backend": "remote", "remote_workers": loopback_workers},
-            ),
+            ("process", {"backend": "process", "jobs": 2}),
         ):
             engine = ExperimentEngine(**kwargs)
             log = engine.subscribe(EventLog())
@@ -87,14 +74,12 @@ class TestPerCellMultiset:
             engine.run_cells(_specs())
             engine.close()
             multisets[name] = _cell_multiset(log)
-        assert multisets["serial"] == multisets["remote"]
+        assert multisets["serial"] == multisets["process"]
 
 
 class TestCacheCorruptFidelity:
-    @pytest.mark.parametrize("backend", ("serial", "remote"))
-    def test_corrupt_entry_reported_once_everywhere(
-        self, backend, tmp_path, loopback_workers
-    ):
+    @pytest.mark.parametrize("backend", ("serial", "process"))
+    def test_corrupt_entry_reported_once_everywhere(self, backend, tmp_path):
         spec = _specs()[0]
         key = spec.key()
         cache_dir = tmp_path / backend
@@ -106,13 +91,8 @@ class TestCacheCorruptFidelity:
         assert path.exists()
         path.write_text("{not json")
 
-        kwargs = (
-            {"remote_workers": loopback_workers}
-            if backend == "remote"
-            else {}
-        )
         engine = ExperimentEngine(
-            backend=backend, cache_dir=cache_dir, **kwargs
+            jobs=2, backend=backend, cache_dir=cache_dir
         )
         log = engine.subscribe(EventLog())
         engine.run_cells([spec])
@@ -122,40 +102,3 @@ class TestCacheCorruptFidelity:
         assert corrupt[0].get("key") == key
         # the corrupt entry was recomputed, not fatal
         assert len(log.of_kind("cell_computed")) == 1
-
-
-class TestWorkerLostFidelity:
-    def test_worker_lost_does_not_disturb_cell_multiset(self):
-        """Killing a worker mid-session adds worker_lost (and nothing
-        else) relative to the per-cell event picture."""
-        from repro.engine.worker import start_loopback_workers, stop_workers
-
-        specs = _specs()
-        with ExperimentEngine(backend="serial") as engine:
-            serial_log = engine.subscribe(EventLog())
-            reference = engine.run_cells(specs)
-
-        processes, addresses = start_loopback_workers(2)
-        try:
-            engine = ExperimentEngine(
-                backend="remote", remote_workers=addresses
-            )
-            log = engine.subscribe(EventLog())
-            # open the connections, then lose one worker
-            engine.run_cells(
-                list(benchmark_specs("barnes", "decode", "nominal"))
-            )
-            processes[1].terminate()
-            processes[1].wait(timeout=10)
-            assert engine.run_cells(specs) == reference
-            engine.close()
-        finally:
-            stop_workers(processes)
-        lost = log.of_kind("worker_lost")
-        assert [e.get("worker") for e in lost] == [addresses[1]]
-        remote_cells = [
-            entry
-            for entry in _cell_multiset(log)
-            if entry[1] != "barnes"
-        ]
-        assert remote_cells == _cell_multiset(serial_log)

@@ -1,13 +1,13 @@
 """Cache keys and RNG seeds, pinned as literals.
 
-Scheme digests salt every experiment memo key, every cell key and
-every online cell's RNG seed (``cell_seed`` hashes through
-``content_key``).  A refactor that moves one of them silently
-orphans every ``--cache-dir`` and, for online cells, moves the
-figures.  The literals below were computed before the scheme
-registry resolved its seed solvers lazily; they change only by a
-deliberate act (a schema or version salt bump), recorded in
-CHANGES.md with the reason.
+Scheme digests salt every experiment memo key and every cell key;
+``cell_seed`` hashes the online knobs under a fixed salt of its own.
+A refactor that moves one of them silently orphans every
+``--cache-dir`` and, for online cells, moves the figures.  The
+literals below were computed before the scheme registry resolved its
+seed solvers lazily; they change only by a deliberate act (a schema
+bump, or a version bump for the keys), recorded in CHANGES.md with
+the reason.
 """
 
 import pytest
@@ -91,3 +91,13 @@ def test_online_cell_key_and_seed():
         "aa8b7df26fcde4fb4cbfe657933317dc0e42d5797bf0e6769cc3ad8d8c1adf3a"
     )
     assert cell_seed(ONLINE_SPEC) == 16921528384206390130
+
+
+def test_version_bump_moves_keys_not_seeds(monkeypatch):
+    import repro
+
+    monkeypatch.setattr(repro, "__version__", "99.0.0")
+    assert cell_seed(ONLINE_SPEC) == 16921528384206390130
+    assert ONLINE_SPEC.key() != (
+        "aa8b7df26fcde4fb4cbfe657933317dc0e42d5797bf0e6769cc3ad8d8c1adf3a"
+    )

@@ -4,9 +4,7 @@ of their specs, online streams are derived from spec content hashes).
 
 The backend sweep runs over the full fig_6_18 + headline cell set:
 every (benchmark, stage, scheme, interval) cell of the paper's main
-result figures, offline and online.  The ``remote`` parametrization
-dispatches the same set to two loopback worker subprocesses over the
-real wire protocol."""
+result figures, offline and online."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,13 +14,8 @@ from repro.engine import ExperimentEngine, benchmark_specs, engine_session
 from repro.experiments import fig_6_18, table_5_1
 from repro.experiments.common import STAGES
 
-#: Backends swept against the serial reference; ``remote`` ships
-#: shards to two loopback worker subprocesses.
-EQUIVALENCE_BACKENDS = ("process", "remote")
-
-#: The in-process subset (hypothesis sweeps these without paying a
-#: worker-subprocess spin-up per example).
-LOCAL_BACKENDS = ("process",)
+#: Backends swept against the serial reference.
+EQUIVALENCE_BACKENDS = ("process",)
 
 
 def _figure_cell_set():
@@ -45,15 +38,10 @@ def serial_reference():
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", EQUIVALENCE_BACKENDS)
     def test_backend_matches_serial_on_figure_cells(
-        self, serial_reference, backend, request
+        self, serial_reference, backend
     ):
         specs, reference = serial_reference
-        kwargs = (
-            {"remote_workers": request.getfixturevalue("loopback_workers")}
-            if backend == "remote"
-            else {}
-        )
-        with ExperimentEngine(jobs=4, backend=backend, **kwargs) as eng:
+        with ExperimentEngine(jobs=4, backend=backend) as eng:
             results = eng.run_cells(specs)
         assert results == reference
 
@@ -85,7 +73,7 @@ class TestCellEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        backend=st.sampled_from(LOCAL_BACKENDS),
+        backend=st.sampled_from(EQUIVALENCE_BACKENDS),
         benchmark=st.sampled_from(("radix", "fmm", "cholesky")),
         scheme=st.sampled_from(("synts", "per_core_ts", "online")),
         seed=st.integers(min_value=0, max_value=2**31 - 1),

@@ -133,6 +133,14 @@ class TestEngineCLI:
         with pytest.raises(SystemExit):  # argparse: invalid choice
             main(["run", "fig_4_7", "--backend", "quantum"])
 
+    def test_remote_backend_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig_6_18", "--backend", "remote"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'remote'" in err
+        assert "'serial'" in err and "'process'" in err
+
     def test_backend_flag_before_shorthand_experiment(self, capsys):
         """`--backend process fig_4_7`: the flag's value must not be
         mistaken for the experiment token."""

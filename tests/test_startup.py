@@ -50,9 +50,7 @@ FORBIDDEN = (
     "scipy",
     "multiprocessing",
     "concurrent.futures",
-    "repro.engine.worker",
     "repro.engine.backends.process",
-    "repro.engine.backends.remote",
     "repro.errors",
     "repro.circuit",
     "repro.gpgpu",

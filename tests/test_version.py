@@ -1,7 +1,7 @@
 """The package version has one source: pyproject.toml.
 
-``repro.__version__`` salts every engine cache key and the remote
-worker handshake, so it must match the packaged version exactly.
+``repro.__version__`` salts every engine cache key, so it must match
+the packaged version exactly.
 """
 
 import re
