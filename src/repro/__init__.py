@@ -19,10 +19,9 @@ Public API highlights
 
 #: Package version (kept in sync with pyproject.toml); participates in
 #: every engine cache key so persistent --cache-dir entries from older
-#: code versions are never served.  It also salts every seeded cell's
-#: RNG stream (``engine.cells.cell_seed``), so changing it changes the
-#: online results.
-__version__ = "1.0.0"
+#: code versions are never served.  RNG streams do not move with it:
+#: ``engine.cells.cell_seed`` hashes under a salt frozen at 1.0.0.
+__version__ = "1.1.0"
 
 from ._lazy import lazy_exports
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import (
-    CellSpec,
     EventLog,
     ExperimentEngine,
     ProcessBackend,

@@ -60,7 +60,7 @@ def test_fig_6_18_memo_key():
     from repro.experiments import fig_6_18
 
     assert _memo_key(fig_6_18.run) == (
-        "906432a2274c6f4ef1b7dfc820091513a84af05fec2a170a1b42cf7c71944d25"
+        "deef4179d0ffeddf690761b9fc54195af6e936349f93abccbd3024fc41e3e6e5"
     )
 
 
@@ -68,7 +68,7 @@ def test_fig_6_11_memo_key():
     from repro.experiments import pareto_figs
 
     assert _memo_key(pareto_figs.run_figure, "fig_6_11") == (
-        "2fbe63576f8de8c812fb29b55b0c6c177b29f80b0a9a2f18c7f4ecde77c1501d"
+        "043875de47a38c4310aa2d2ae8e26ed56bf83906d2b6a1b8a448c70b96899165"
     )
 
 
@@ -76,19 +76,19 @@ def test_ablation_heterogeneity_memo_key():
     from repro.experiments import ablations
 
     assert _memo_key(ablations.heterogeneity) == (
-        "206e4634dd17eb6a449923711d4e731901abc7626ad4cf0dc9901644b851fea1"
+        "c5adefafdedd9de48f45f40c624ffb719b29ec0aa694cb4ef4319d0e80f391c2"
     )
 
 
 def test_offline_cell_key():
     assert OFFLINE_SPEC.key() == (
-        "ddb23d568d7fa17b5b4297903b361f3e86f20506fddc9ea997db1b7e43d17ba0"
+        "a79a8d5632a1ce390ad77ac963307ef88d1406628415c23b02114de9321fd928"
     )
 
 
 def test_online_cell_key_and_seed():
     assert ONLINE_SPEC.key() == (
-        "aa8b7df26fcde4fb4cbfe657933317dc0e42d5797bf0e6769cc3ad8d8c1adf3a"
+        "b3698a2a5708e3005c22c7bbc7c341e24ad9675d2a3bfe1c8ae61ced3f277b7a"
     )
     assert cell_seed(ONLINE_SPEC) == 16921528384206390130
 
@@ -99,5 +99,5 @@ def test_version_bump_moves_keys_not_seeds(monkeypatch):
     monkeypatch.setattr(repro, "__version__", "99.0.0")
     assert cell_seed(ONLINE_SPEC) == 16921528384206390130
     assert ONLINE_SPEC.key() != (
-        "aa8b7df26fcde4fb4cbfe657933317dc0e42d5797bf0e6769cc3ad8d8c1adf3a"
+        "b3698a2a5708e3005c22c7bbc7c341e24ad9675d2a3bfe1c8ae61ced3f277b7a"
     )

@@ -6,11 +6,16 @@ engine and model modules that id executes and nothing else.  A run the
 experiment memo answers executes no numerics, so it loads neither numpy
 nor the modules built on it: drivers import their substrate inside the
 functions that compute, and the scheme registry names its solvers by
-import path.  These tests pin that import budget for a listing and for
-a warm run of every experiment and ablation, check every lazy export
-map against its submodules, and import the modules that sit on import
-cycles first in a fresh interpreter, where a changed import order would
-surface.
+import path.  A run that computes loads numpy but never scipy: the
+Beta-tail error curves use the in-repo incomplete beta, and scipy
+serves only ``milp``, ``errors.fitting`` and ``circuit.voltage``, which
+no experiment or ablation calls.  These tests pin that import budget
+for a listing, for a cold ``run all`` and ``ablation all`` (which must
+also render their committed digests with scipy unimportable), and for
+a warm run of every experiment and ablation.  They also check every
+lazy export map against its submodules, and import the modules that
+sit on import cycles first in a fresh interpreter, where a changed
+import order would surface.
 """
 
 import importlib
@@ -26,6 +31,10 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments.ablations import ABLATIONS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+EXPECTED = REPO_ROOT / "perfbench" / "expected.json"
+
+#: The two commands that regenerate the paper, run cold.
+COLD_RUNS = (["run", "all"], ["ablation", "all"])
 
 #: Every package whose ``__init__`` re-exports lazily.
 LAZY_PACKAGES = (
@@ -83,6 +92,18 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
+#: Runs ``main(argv)`` with scipy unimportable; reports the stdout digest.
+_NO_SCIPY_PROBE = """
+import contextlib, hashlib, io, json, sys
+sys.modules["scipy"] = None
+from repro.__main__ import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps({"code": code, "digest": digest}))
+"""
+
 
 def _python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
@@ -125,8 +146,9 @@ class TestImportBudget:
     def cache_dir(self, tmp_path_factory):
         """A cache dir filled by a cold ``run all`` + ``ablation all``."""
         cache_dir = str(tmp_path_factory.mktemp("startup-cache"))
-        _loaded_by_main(["run", "all", "--cache-dir", cache_dir])
-        _loaded_by_main(["ablation", "all", "--cache-dir", cache_dir])
+        for argv in COLD_RUNS:
+            modules = _loaded_by_main(argv + ["--cache-dir", cache_dir])
+            assert [m for m in modules if m.split(".")[0] == "scipy"] == [], argv
         return cache_dir
 
     def test_list(self):
@@ -139,6 +161,16 @@ class TestImportBudget:
     def test_warm_run(self, cache_dir, argv, driver):
         modules = _loaded_by_main(argv + ["--cache-dir", cache_dir])
         assert _over_budget(modules, driver, ablations=False) == []
+
+
+@pytest.mark.parametrize("argv", COLD_RUNS, ids=" ".join)
+def test_cold_run_renders_its_digest_without_scipy(argv):
+    """The paper regenerates, byte for byte, where scipy cannot import."""
+    expected = json.loads(EXPECTED.read_text())["paper_cold"][" ".join(argv)]
+    proc = _python("-c", _NO_SCIPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {"code": 0, "digest": expected}, proc.stderr
 
 
 @pytest.mark.parametrize(
